@@ -2,8 +2,7 @@
 
 Every benchmark regenerates one of the survey's tables or figures as a
 *measured* artifact.  Regenerated tables are printed and also written to
-``benchmarks/results/<name>.txt`` so the output survives pytest's capture
-(see EXPERIMENTS.md for the paper-vs-measured index).
+``benchmarks/results/<name>.txt`` so the output survives pytest's capture.
 """
 
 from __future__ import annotations

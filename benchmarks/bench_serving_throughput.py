@@ -1,27 +1,22 @@
-"""Serving throughput: full-graph vs incremental vs compiled, micro-batching.
+"""Serving throughput: full-graph oracle vs compiled plan, micro-batching.
 
-Five claims are measured on the instance formulation:
+Four claims are measured on the instance formulation:
 
 * **micro-batching** amortizes the full-graph path's fixed per-request cost
   (retrieval, induced-graph rebuild, pool re-forward) across coalesced
   requests — bar: >= 5x single-row throughput on the full-graph path;
-* **incremental query propagation** (precomputed pool activations, only the
-  B query rows recomputed per request) beats the full-graph path per
+* the **compiled plan** (the engine default: pool activations cached once
+  and pre-projected into plan constants, autograd stripped, only the B
+  query rows computed per request) beats the full-graph oracle per
   single-row request — bar: >= 3x lower latency at pool >= 2000 rows, with
-  predictions matching the full-graph oracle within 1e-8;
-* incremental per-request latency is **near-flat in pool size**, measured
-  by a pool-scaling sweep over all five network families (the edge-wise
-  substrate makes the fast path network-agnostic) *and* over the
+  predictions matching the oracle within 1e-8 and the one-time
+  ``compile_ms`` persisted per cell;
+* compiled per-request latency is **near-flat in pool size**, measured
+  by a pool-scaling sweep over all five network families *and* over the
   hypergraph formulation (queries attach as new hyperedges over frozen
   value-node states; the full-graph oracle rebuilds the model on the
   attached incidence) — bar: sub-linear for every family (latency growth
   well below the pool growth factor);
-* **compiled plans** (autograd stripped from the hot path, pool state
-  pre-projected into plan constants — the engine default) beat the
-  *interpreted* incremental path per single-row request — bar: >= 1.5x
-  lower p50 at pool = 2000 for every instance network family, matching
-  the full-graph oracle within 1e-8, with the one-time ``compile_ms``
-  persisted per cell;
 * **sub-linear retrieval** carries the attach stage to 10⁵–10⁶-row pools:
   a synthetic pool-scaling sweep times ``PoolIndex.top_k`` per single
   query under the exact scan vs the IVF backend and measures recall@k
@@ -30,7 +25,7 @@ Five claims are measured on the instance formulation:
   p50, recall, the one-time k-means ``build_ms``).
 
 A further set of claims covers the observability layer itself: the span +
-histogram instrumentation must cost < 5% of single-row incremental p50
+histogram instrumentation must cost < 5% of single-row compiled p50
 (measured against an ``observability=False`` engine), and the
 engine-internal request histogram must agree with an external caller-side
 timer within 10% at p50 and p95 — the cross-check that makes ``/metrics``
@@ -200,14 +195,12 @@ def _time_single_rows(engine, rows, cats=None):
     return len(rows) / elapsed, latencies
 
 
-def _run_single_row(incremental, compiled=False):
-    # ``compiled=False`` by default keeps the full-graph / incremental
-    # rows measuring the interpreted paths they always measured; the
-    # compiled row opts in explicitly.
+def _run_single_row(incremental):
+    # ``incremental=False`` is the full-graph oracle, ``None`` the
+    # compiled default.
     _setup()
     engine = InferenceEngine(
-        STATE["artifact"], cache_size=0, incremental=incremental,
-        compiled=compiled,
+        STATE["artifact"], cache_size=0, incremental=incremental
     )
     return _time_single_rows(engine, STATE["rows"])
 
@@ -215,7 +208,7 @@ def _run_single_row(incremental, compiled=False):
 def _run_micro_batched():
     _setup()
     # Full-graph engine: micro-batching is what amortizes that path's fixed
-    # per-request cost (the incremental path has little left to amortize).
+    # per-request cost (the compiled path has little left to amortize).
     engine = InferenceEngine(STATE["artifact"], cache_size=0, incremental=False)
 
     def hit(row):
@@ -239,17 +232,8 @@ def test_single_row_full_graph(benchmark):
     assert rps > 0
 
 
-def test_single_row_incremental(benchmark):
-    rps, latencies = once(benchmark, lambda: _run_single_row(True))
-    p50, p95 = _percentiles(latencies)
-    ROWS.append(("single-row incremental", 1, rps, p50, p95))
-    assert rps > 0
-
-
 def test_single_row_compiled(benchmark):
-    rps, latencies = once(
-        benchmark, lambda: _run_single_row(True, compiled=True)
-    )
+    rps, latencies = once(benchmark, lambda: _run_single_row(None))
     p50, p95 = _percentiles(latencies)
     ROWS.append(("single-row compiled", 1, rps, p50, p95))
     assert rps > 0
@@ -262,124 +246,56 @@ def test_micro_batched_throughput(benchmark):
     assert stats["batches"] < N_REQUESTS, "batcher never coalesced"
 
 
+def _sweep_point(network, pool_rows, artifact, *rows):
+    """Full-graph oracle vs compiled plan on one sweep cell."""
+    full = InferenceEngine(artifact, cache_size=0, incremental=False)
+    comp = InferenceEngine(artifact, cache_size=0)  # the default
+    assert comp.compiled, f"{network}: plan failed to compile"
+    # Correctness first: the compiled plan must match the oracle.
+    diff = float(np.abs(comp.predict_batch(*rows) - full.predict_batch(*rows)).max())
+    assert diff < 1e-8, f"{network} pool={pool_rows}: parity broken ({diff:.2e})"
+    full_p50, _ = _percentiles(_time_single_rows(full, *rows)[1])
+    comp_p50, _ = _percentiles(_time_single_rows(comp, *rows)[1])
+    return {
+        "network": network,
+        "pool_rows": pool_rows,
+        "full_p50_ms": full_p50,
+        "compiled_p50_ms": comp_p50,
+        "speedup": full_p50 / comp_p50,
+        "compile_ms": float(comp.compile_ms),
+        "max_abs_diff": diff,
+    }
+
+
 def test_pool_scaling_sweep(benchmark):
     def sweep():
         for network in SWEEP_NETWORKS:
             for pool_rows in SWEEP_POOLS:
                 artifact, requests = _sweep_artifact(pool_rows, network)
-                full = InferenceEngine(artifact, cache_size=0, incremental=False)
-                inc = InferenceEngine(
-                    artifact, cache_size=0, incremental=True, compiled=False
-                )
-                comp = InferenceEngine(artifact, cache_size=0)  # the default
-                assert comp.compiled, f"{network}: plan failed to compile"
-                # Correctness first: both fast paths must match the oracle.
-                oracle = full.predict_batch(requests)
-                diff = float(np.abs(inc.predict_batch(requests) - oracle).max())
-                assert diff < 1e-8, (
-                    f"{network} pool={pool_rows}: parity broken ({diff:.2e})"
-                )
-                comp_diff = float(
-                    np.abs(comp.predict_batch(requests) - oracle).max()
-                )
-                assert comp_diff < 1e-8, (
-                    f"{network} pool={pool_rows}: compiled parity broken "
-                    f"({comp_diff:.2e})"
-                )
-                _, full_lat = _time_single_rows(full, requests)
-                _, inc_lat = _time_single_rows(inc, requests)
-                _, comp_lat = _time_single_rows(comp, requests)
-                full_p50, _ = _percentiles(full_lat)
-                inc_p50, _ = _percentiles(inc_lat)
-                comp_p50, _ = _percentiles(comp_lat)
-                SWEEP.append(
-                    {
-                        "network": network,
-                        "pool_rows": pool_rows,
-                        "full_p50_ms": full_p50,
-                        "incremental_p50_ms": inc_p50,
-                        "compiled_p50_ms": comp_p50,
-                        "speedup": full_p50 / inc_p50,
-                        "compiled_speedup": inc_p50 / comp_p50,
-                        "compile_ms": float(comp.compile_ms),
-                        "max_abs_diff": diff,
-                        "compiled_max_abs_diff": comp_diff,
-                    }
-                )
+                SWEEP.append(_sweep_point(network, pool_rows, artifact, requests))
         # Hypergraph: same sweep, formulation-level — queries attach as new
         # hyperedges over frozen value-node states, oracle rebuilds on the
         # attached incidence.
         for pool_rows in SWEEP_POOLS:
             artifact, numerical, categorical = _hypergraph_sweep_artifact(pool_rows)
-            full = InferenceEngine(artifact, cache_size=0, incremental=False)
-            inc = InferenceEngine(
-                artifact, cache_size=0, incremental=True, compiled=False
-            )
-            comp = InferenceEngine(artifact, cache_size=0)
-            assert comp.compiled, "hypergraph plan failed to compile"
-            oracle = full.predict_batch(numerical, categorical)
-            diff = float(
-                np.abs(inc.predict_batch(numerical, categorical) - oracle).max()
-            )
-            assert diff < 1e-8, (
-                f"hypergraph pool={pool_rows}: parity broken ({diff:.2e})"
-            )
-            comp_diff = float(
-                np.abs(comp.predict_batch(numerical, categorical) - oracle).max()
-            )
-            assert comp_diff < 1e-8, (
-                f"hypergraph pool={pool_rows}: compiled parity broken "
-                f"({comp_diff:.2e})"
-            )
-            _, full_lat = _time_single_rows(full, numerical, categorical)
-            _, inc_lat = _time_single_rows(inc, numerical, categorical)
-            _, comp_lat = _time_single_rows(comp, numerical, categorical)
-            full_p50, _ = _percentiles(full_lat)
-            inc_p50, _ = _percentiles(inc_lat)
-            comp_p50, _ = _percentiles(comp_lat)
-            # The hypergraph hot path was already one cached segment-sum;
-            # compiled columns are recorded but the 1.5x bar applies to
-            # the instance families, where autograd dominated.
-            SWEEP.append(
-                {
-                    "network": "hypergraph",
-                    "pool_rows": pool_rows,
-                    "full_p50_ms": full_p50,
-                    "incremental_p50_ms": inc_p50,
-                    "compiled_p50_ms": comp_p50,
-                    "speedup": full_p50 / inc_p50,
-                    "compiled_speedup": inc_p50 / comp_p50,
-                    "compile_ms": float(comp.compile_ms),
-                    "max_abs_diff": diff,
-                    "compiled_max_abs_diff": comp_diff,
-                }
-            )
+            SWEEP.append(_sweep_point(
+                "hypergraph", pool_rows, artifact, numerical, categorical
+            ))
         return SWEEP
 
     once(benchmark, sweep)
     for point in SWEEP:
         if point["pool_rows"] >= 2000:
             assert point["speedup"] >= 3.0, (
-                f"{point['network']} pool={point['pool_rows']}: incremental only "
-                f"{point['speedup']:.1f}x faster (bar: >= 3x)"
-            )
-        # Compiled bar: stripping autograd must buy >= 1.5x over the
-        # interpreted incremental path at the 2000-row reference pool for
-        # every instance network family.
-        if point["pool_rows"] == 2000 and point["network"] in SWEEP_NETWORKS:
-            assert point["compiled_speedup"] >= 1.5, (
-                f"{point['network']} pool=2000: compiled only "
-                f"{point['compiled_speedup']:.2f}x faster than interpreted "
-                f"incremental (bar: >= 1.5x)"
+                f"{point['network']} pool={point['pool_rows']}: compiled only "
+                f"{point['speedup']:.1f}x faster than full-graph (bar: >= 3x)"
             )
     pool_growth = SWEEP_POOLS[-1] / SWEEP_POOLS[0]
     for network in dict.fromkeys(p["network"] for p in SWEEP):
         curve = [p for p in SWEEP if p["network"] == network]
-        latency_growth = (
-            curve[-1]["incremental_p50_ms"] / curve[0]["incremental_p50_ms"]
-        )
+        latency_growth = curve[-1]["compiled_p50_ms"] / curve[0]["compiled_p50_ms"]
         assert latency_growth < pool_growth / 2.0, (
-            f"{network}: incremental latency grew {latency_growth:.1f}x over a "
+            f"{network}: compiled latency grew {latency_growth:.1f}x over a "
             f"{pool_growth:.0f}x pool increase — not sub-linear"
         )
 
@@ -548,22 +464,14 @@ def test_observability_overhead_and_agreement(benchmark):
 def test_zzz_render_throughput(benchmark):
     def render():
         single_full = next(r for r in ROWS if r[0] == "single-row full-graph")
-        single_inc = next(r for r in ROWS if r[0] == "single-row incremental")
         single_comp = next(r for r in ROWS if r[0] == "single-row compiled")
         batched = next(r for r in ROWS if r[0] == "micro-batched full-graph")
         batch_speedup = batched[2] / single_full[2]
-        inc_speedup = single_full[3] / single_inc[3]
-        compiled_speedup = single_inc[3] / single_comp[3]
+        compiled_speedup = single_full[3] / single_comp[3]
         table_rows = [list(r) for r in ROWS] + [
             [
                 f"sweep {p['network']} pool={p['pool_rows']} full",
                 1, "-", p["full_p50_ms"], "-",
-            ]
-            for p in SWEEP
-        ] + [
-            [
-                f"sweep {p['network']} pool={p['pool_rows']} incr",
-                1, "-", p["incremental_p50_ms"], "-",
             ]
             for p in SWEEP
         ] + [
@@ -582,16 +490,14 @@ def test_zzz_render_throughput(benchmark):
         ]
         text = record_table(
             "serving_throughput",
-            "Serving throughput: full-graph vs incremental vs compiled",
+            "Serving throughput: full-graph oracle vs compiled plan",
             ["mode", "max batch", "rows/sec", "p50 (ms)", "p95 (ms)"],
             table_rows,
             note=(
                 f"pool={POOL_ROWS} rows, {N_REQUESTS} requests; "
                 f"micro-batched speedup = {batch_speedup:.1f}x (bar: >= 5x); "
-                f"incremental p50 speedup = {inc_speedup:.1f}x; compiled p50 "
-                f"speedup over interpreted incremental = "
-                f"{compiled_speedup:.1f}x (bar: >= 1.5x at pool=2000 per "
-                f"network); sweep pools {SWEEP_POOLS} x networks "
+                f"compiled p50 speedup over full-graph = "
+                f"{compiled_speedup:.1f}x; sweep pools {SWEEP_POOLS} x networks "
                 f"{SWEEP_NETWORKS} + the hypergraph formulation with >= 3x "
                 f"bar from 2000 rows; ANN retrieval sweep pools {ANN_POOLS} "
                 f"with >= 5x IVF top_k speedup at recall@{ANN_K} >= 0.95 "
@@ -612,7 +518,6 @@ def test_zzz_render_throughput(benchmark):
                 for mode, max_batch, rps, p50, p95 in ROWS
             ],
             "microbatch_speedup": float(batch_speedup),
-            "incremental_p50_speedup": float(inc_speedup),
             "compiled_p50_speedup": float(compiled_speedup),
             "pool_scaling": SWEEP,
             "ann_pool_scaling": ANN,

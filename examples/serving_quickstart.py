@@ -79,9 +79,9 @@ with tempfile.TemporaryDirectory() as tmp:
     print("artifact:", path.name, "+", path.with_suffix(".json").name)
     artifact = ModelArtifact.load(path)
 
-    # 2. The default deployment: exact retrieval (and the compiled plan —
-    # the query path is lowered at init; compiled=False would keep the
-    # interpreted autograd scorer as the parity oracle).
+    # 2. The default deployment: exact retrieval and the compiled plan
+    # (the query path is lowered at init; incremental=False would serve
+    # the full-graph autograd oracle instead).
     exact = InferenceEngine(artifact)
     print(f"exact engine:       index={exact.index} "
           f"(built in {exact.index_build_ms:.2f} ms), "

@@ -272,10 +272,12 @@ class TabularPreprocessor:
         """Coerce raw rows to validated 2-D ``(numerical, categorical)``.
 
         The single place the serving stack's row conventions live: widths
-        are checked against the fitted schema, and omitted categoricals
+        are checked against the fitted schema, omitted categoricals
         become the library-wide ``-1`` "missing" code (all-zero one-hot
         block in onehot mode / mean-imputed after scaling in fields mode)
-        rather than silently asserting category 0.
+        rather than silently asserting category 0, and categorical codes
+        that are not finite integers (``3.5``, ``nan``, ``inf``) raise
+        ``ValueError`` instead of being truncated.
         """
         self._check_fitted()
         numerical = np.asarray(numerical, dtype=np.float64)
@@ -291,6 +293,19 @@ class TabularPreprocessor:
             categorical = np.full(
                 (n, self.num_categorical_features), -1, dtype=np.int64
             )
+        categorical = np.asarray(categorical)
+        if categorical.dtype.kind not in "biu":
+            try:
+                codes = categorical.astype(np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad categorical values: {exc}") from exc
+            # abs < 2**63 also rejects inf/nan and anything int64 cannot hold.
+            if not np.all((np.abs(codes) < 2.0**63) & (codes == np.round(codes))):
+                raise ValueError(
+                    "categorical codes must be finite integers, got "
+                    f"{categorical.reshape(-1).tolist()}"
+                )
+            categorical = codes
         categorical = np.asarray(categorical, dtype=np.int64)
         if categorical.ndim == 1:
             categorical = categorical.reshape(1, -1)

@@ -40,8 +40,8 @@ def _timed_score(inner):
     Applied once per concrete scorer class by
     :meth:`RowScorer.__init_subclass__`, so *every* formulation — current
     and future plug-ins — gets its scorer boundary timed for free; the
-    finer stages (encode / attach / propagate) are the formulation's own
-    :meth:`RowScorer.stage` calls nested inside this span.
+    finer stages (encode / attach / plan_execute) are the formulation's
+    own :meth:`RowScorer.stage` calls nested inside this span.
     """
 
     @functools.wraps(inner)
@@ -67,6 +67,12 @@ class RowScorer(abc.ABC):
     per request).  Scorers receive *validated* raw row arrays (the engine
     runs ``preprocessor.normalize_rows`` first) and return logits.
 
+    Every built-in scorer has two paths: the compiled plan
+    (:meth:`compile_plan`, the default) and, with ``incremental=False``,
+    the full-graph autograd oracle, for which :meth:`compile_plan`
+    returns ``None``.  A plug-in that does not override
+    :meth:`compile_plan` serves through its own ``score``.
+
     Observability: the engine binds its :class:`~repro.obs.Tracer` via
     :meth:`bind_tracer` after construction; on requests the engine samples
     for tracing, ``score`` is automatically timed as the ``"score"``
@@ -80,7 +86,7 @@ class RowScorer(abc.ABC):
     #: class-level default — unbound scorers trace nothing
     _tracer: Optional[Tracer] = None
     #: compiled plan executor (see :mod:`repro.serving.compiled`); ``None``
-    #: means the interpreted autograd path is in charge
+    #: means ``score`` runs its autograd path
     _compiled = None
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -109,9 +115,10 @@ class RowScorer(abc.ABC):
 
         Returns an executor (object with a ``.plan`` and a ``run``
         method the scorer's ``score`` knows how to feed) or ``None`` when
-        the path cannot be lowered.  The default returns ``None``, so
-        plug-in formulations keep serving through the interpreted autograd
-        path without any extra work.
+        no plan applies.  The default returns ``None``, so plug-in
+        formulations serve through their own ``score`` without any extra
+        work.  Built-in scorers return ``None`` only for the full-graph
+        oracle; a lowering that fails raises.
         """
         return None
 

@@ -21,7 +21,11 @@ from repro.models import FeatureGraphClassifier
 
 
 class FeatureScorer(RowScorer):
-    """Direct row-wise scoring; the model is built once and reused."""
+    """Direct row-wise scoring; the model is built once and reused.
+
+    ``incremental=None`` (default) serves the compiled plan;
+    ``incremental=False`` keeps the autograd forward as the oracle.
+    """
 
     incremental = False
 
@@ -32,19 +36,21 @@ class FeatureScorer(RowScorer):
                 "propagate from; use incremental=None/False"
             )
         self._artifact = artifact
+        self._oracle = incremental is False
         self.model = artifact.build_model()
 
     def score(self, numerical: np.ndarray, categorical: np.ndarray) -> np.ndarray:
         with self.stage("encode"):
             features = self._artifact.preprocessor.transform(numerical, categorical)
-        if self._compiled is not None:
-            with self.stage("plan_execute"):
-                return self._compiled.run(features)
-        with self.stage("propagate"):
-            self.model.eval()
-            return self.model(features).data
+        if self._compiled is None:
+            with self.stage("propagate"):
+                return self.model(features).data
+        with self.stage("plan_execute"):
+            return self._compiled.run(features)
 
     def compile_plan(self):
+        if self._oracle:
+            return None  # the autograd forward is the oracle
         from repro.serving.compiled import compile_feature
 
         return compile_feature(self.model)

@@ -40,9 +40,14 @@ _GRAPH = "graph::"
 
 
 class HeteroScorer(RowScorer):
-    """Value-node lookup scoring against cached typed pool states."""
+    """Value-node lookup scoring against cached typed pool states.
 
-    incremental = True
+    The default serves the compiled plan over the cached pool states.
+    ``incremental=False`` is the full-graph autograd oracle: the B queries
+    are appended as target-type nodes that receive directed value→query
+    edges (the ``rev_has_*`` types) and send none, and the model's
+    ordinary typed forward runs on that graph.
+    """
 
     def __init__(
         self,
@@ -51,18 +56,42 @@ class HeteroScorer(RowScorer):
         incremental: Optional[bool],
         stats: Dict[str, int],
     ) -> None:
-        if incremental is False:
-            raise ValueError(
-                "hetero artifacts serve through frozen value-node "
-                "vocabularies; there is no full-graph oracle path "
-                "(incremental=False)"
-            )
+        self._artifact = artifact
         self._fitted = fitted
         self._stats = stats
         stats.setdefault("unk_values", 0)
         stats.setdefault("attach_edges", 0)
-        self.model = artifact.build_model()
-        self.pool_states = self.model.network.pool_states()
+        self.incremental = True if incremental is None else bool(incremental)
+        if self.incremental:
+            self.model = artifact.build_model()
+            self.pool_states = self.model.network.pool_states()
+
+    def _forward_full(
+        self, features: np.ndarray, value_ids: Dict[str, np.ndarray]
+    ) -> np.ndarray:
+        """Correctness-oracle path: rebuild the graph with query instances."""
+        graph = self._fitted.graph
+        target = graph.target_type or "instance"
+        n_pool, batch = graph.node_counts[target], features.shape[0]
+        counts = dict(graph.node_counts)
+        counts[target] += batch
+        attached = HeteroGraph(counts)
+        query_ids = n_pool + np.arange(batch, dtype=np.int64)
+        for edge_type, edge_index in graph.edge_indexes.items():
+            src_type, _, dst_type = edge_type
+            if dst_type == target:
+                ids = value_ids[src_type]
+                edge_index = np.concatenate(
+                    [edge_index, np.stack([ids[ids >= 0], query_ids[ids >= 0]])],
+                    axis=1,
+                )
+            attached.add_edges(edge_type, edge_index)
+        for node_type, x in graph.node_features.items():
+            if node_type == target:
+                x = np.concatenate([x, features], axis=0)
+            attached.set_features(node_type, x)
+        attached.target_type = target
+        return self._artifact.build_model(graph=attached)().data[n_pool:]
 
     def score(self, numerical: np.ndarray, categorical: np.ndarray) -> np.ndarray:
         with self.stage("encode"):
@@ -79,15 +108,15 @@ class HeteroScorer(RowScorer):
                 value_ids[spec.name] = ids
             self._stats["unk_values"] += unk
             self._stats["attach_edges"] += attached
-        if self._compiled is not None:
-            with self.stage("plan_execute"):
-                return self._compiled.run(features, value_ids)
-        with self.stage("propagate"):
-            return self.model.network.propagate_queries(
-                features, value_ids, self.pool_states
-            )
+        if self._compiled is None:
+            with self.stage("propagate"):
+                return self._forward_full(features, value_ids)
+        with self.stage("plan_execute"):
+            return self._compiled.run(features, value_ids)
 
     def compile_plan(self):
+        if not self.incremental:
+            return None  # the full-graph oracle runs on autograd
         from repro.serving.compiled import compile_hetero
 
         return compile_hetero(self.model.network, self.pool_states)

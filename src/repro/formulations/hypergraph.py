@@ -79,23 +79,20 @@ class HypergraphScorer(RowScorer):
                 numerical, categorical, self._stats
             )
             self._stats["attach_edges"] += int(np.count_nonzero(member_ids >= 0))
-        if self.incremental:
+        if self._compiled is None:
             with self.stage("attach"):
-                view = self._fitted.graph.attach_view(member_ids)
-            if self._compiled is not None:
-                with self.stage("plan_execute"):
-                    return self._compiled.run(view, member_ids.shape[0])
+                attached = self._fitted.graph.with_hyperedges(member_ids)
+                model = self._artifact.build_model(graph=attached)
             with self.stage("propagate"):
-                return self.model.propagate_queries(view, self.node_states)
+                return model().data[self._fitted.graph.num_hyperedges:]
         with self.stage("attach"):
-            attached = self._fitted.graph.with_hyperedges(member_ids)
-            model = self._artifact.build_model(graph=attached)
-        with self.stage("propagate"):
-            return model().data[self._fitted.graph.num_hyperedges:]
+            view = self._fitted.graph.attach_view(member_ids)
+        with self.stage("plan_execute"):
+            return self._compiled.run(view, member_ids.shape[0])
 
     def compile_plan(self):
         if not self.incremental:
-            return None  # the rebuild-per-request oracle stays interpreted
+            return None  # the rebuild-per-request oracle runs on autograd
         from repro.serving.compiled import compile_hypergraph
 
         return compile_hypergraph(self.model, self.node_states)

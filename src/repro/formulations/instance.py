@@ -29,9 +29,9 @@ class InstanceScorer(RowScorer):
     """Retrieval-attach scoring against the frozen training pool.
 
     ``incremental=None/True`` (default) caches the pool's per-layer
-    activations at construction and propagates only the query rows per
-    request; ``incremental=False`` keeps the full-graph rebuild purely as a
-    correctness oracle.
+    activations at construction and runs only the query rows through the
+    compiled plan per request; ``incremental=False`` keeps the full-graph
+    autograd rebuild purely as a correctness oracle.
 
     Retrieval rides a pluggable :class:`~repro.construction.PoolIndex`
     backend: ``index="exact"`` (default) is the exhaustive scan,
@@ -102,7 +102,7 @@ class InstanceScorer(RowScorer):
         """Correctness-oracle path: rebuild the (pool + queries) graph.
 
         Pays O(pool + E) per request — kept solely as the reference the
-        incremental path is tested against (``incremental=False``).
+        compiled plan is tested against (``incremental=False``).
         """
         batch = features.shape[0]
         n_pool = self._pool_x.shape[0]
@@ -131,15 +131,11 @@ class InstanceScorer(RowScorer):
             self._stats["attach_edges"] += int(neighbors.size)
             if self._pool_index.is_approximate:
                 self._observe_retrieval(features, neighbors)
-        if self._compiled is not None:
-            with self.stage("plan_execute"):
-                return self._compiled.run(features, neighbors)
-        with self.stage("propagate"):
-            if self.incremental:
-                return self.model.propagate_queries(
-                    features, neighbors, self.pool_hiddens
-                )
-            return self._forward_full(features, neighbors)
+        if self._compiled is None:
+            with self.stage("propagate"):
+                return self._forward_full(features, neighbors)
+        with self.stage("plan_execute"):
+            return self._compiled.run(features, neighbors)
 
     def _observe_retrieval(
         self, features: np.ndarray, neighbors: np.ndarray
@@ -168,7 +164,7 @@ class InstanceScorer(RowScorer):
 
     def compile_plan(self):
         if not self.incremental:
-            return None  # the full-graph oracle stays interpreted
+            return None  # the full-graph oracle runs on autograd
         from repro.serving.compiled import compile_instance
 
         return compile_instance(self.model, self._graph, self.pool_hiddens, self._k)

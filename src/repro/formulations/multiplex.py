@@ -39,6 +39,7 @@ from repro.datasets.preprocessing import TabularPreprocessor
 from repro.formulations.base import FittedFormulation, Formulation, RowScorer
 from repro.graph.multiplex import MultiplexGraph
 from repro.models import TabGNN
+from repro.tensor import Tensor
 
 Vocabulary = Dict[int, np.ndarray]  # value code -> pool member row indices
 
@@ -56,9 +57,17 @@ def _build_vocabularies(specs: List[ValueColumnSpec]) -> List[Vocabulary]:
 
 
 class MultiplexScorer(RowScorer):
-    """Vocabulary-lookup scoring against cached pool relation messages."""
+    """Vocabulary-lookup scoring against cached pool relation messages.
 
-    incremental = True
+    The default serves the compiled plan, which feeds each query the
+    precomputed mean of its value group's cached pool messages.
+    ``incremental=False`` is the full-graph autograd oracle: per relation
+    the B queries join the pool under the operator
+    ``[[Â_pool, 0], [M_q, I_unk]]`` — ``Â_pool`` the trained GCN
+    adjacency, ``M_q`` each query's row-mean over its frozen value group,
+    ``I_unk`` a self loop where the value is UNK or missing — and TabGNN's
+    ordinary forward runs on ``[x_pool; x_query]``.
+    """
 
     def __init__(
         self,
@@ -67,74 +76,69 @@ class MultiplexScorer(RowScorer):
         incremental: Optional[bool],
         stats: Dict[str, int],
     ) -> None:
-        if incremental is False:
-            raise ValueError(
-                "multiplex artifacts serve through frozen value-node "
-                "vocabularies; there is no full-graph oracle path "
-                "(incremental=False)"
-            )
         self._artifact = artifact
         self._fitted = fitted
         self._stats = stats
         stats.setdefault("unk_values", 0)
         stats.setdefault("attach_edges", 0)
-        self.model = artifact.build_model()
-        self.pool_messages = self.model.pool_message_states()
-        self._n_pool = fitted.graph.num_nodes
+        self.incremental = True if incremental is None else bool(incremental)
+        if self.incremental:
+            self.model = artifact.build_model()
+            self.pool_messages = self.model.pool_message_states()
 
-    def _member_operator(
-        self, codes: np.ndarray, vocab: Vocabulary
+    def _attached_operator(
+        self, adjacency: sp.csr_matrix, codes: np.ndarray, vocab: Vocabulary
     ) -> sp.csr_matrix:
-        """(B, n_pool) row-mean operator over each query's value group."""
-        indptr = [0]
-        indices: List[np.ndarray] = []
-        data: List[np.ndarray] = []
-        total = 0
-        for code in codes:
+        """One relation's ``[[Â_pool, 0], [M_q, I_unk]]`` over pool + queries."""
+        batch = codes.shape[0]
+        member_mean = sp.lil_matrix((batch, adjacency.shape[0]))
+        self_loops = np.ones(batch)
+        for q, code in enumerate(codes):
             members = vocab.get(int(code)) if code >= 0 else None
-            if code >= 0 and members is None:
-                self._stats["unk_values"] += 1
-            if members is not None:
-                indices.append(members)
-                data.append(np.full(members.shape[0], 1.0 / members.shape[0]))
-                total += members.shape[0]
-            indptr.append(total)
-        return sp.csr_matrix(
-            (
-                np.concatenate(data) if data else np.zeros(0),
-                np.concatenate(indices) if indices else np.zeros(0, np.int64),
-                np.asarray(indptr, dtype=np.int64),
-            ),
-            shape=(codes.shape[0], self._n_pool),
+            if members is None:
+                self._stats["unk_values"] += int(code >= 0)
+                continue
+            member_mean[q, members] = 1.0 / members.shape[0]
+            self_loops[q] = 0.0
+            self._stats["attach_edges"] += int(members.shape[0])
+        return sp.bmat(
+            [[adjacency, None], [member_mean, sp.diags(self_loops)]], format="csr"
         )
+
+    def _forward_full(
+        self, features: np.ndarray, codes: List[np.ndarray]
+    ) -> np.ndarray:
+        """Correctness-oracle path: TabGNN's forward over pool + queries."""
+        model = self._artifact.build_model()
+        n_pool = model.x.shape[0]
+        model.x = Tensor(np.concatenate([model.x.data, features], axis=0))
+        model._adjacencies = [
+            self._attached_operator(adjacency, rel_codes, vocab)
+            for adjacency, rel_codes, vocab in zip(
+                model._adjacencies, codes, self._fitted.vocabularies
+            )
+        ]
+        return model().data[n_pool:]
 
     def score(self, numerical: np.ndarray, categorical: np.ndarray) -> np.ndarray:
         with self.stage("encode"):
             features = self._artifact.preprocessor.transform(numerical, categorical)
-        if self._compiled is not None:
-            # Compiled path skips the sparse-operator build entirely: the
-            # executor resolves raw value codes against its vocabulary
-            # lookups (keeping unk/attach accounting identical) and feeds
-            # the plan precomputed group means.
-            with self.stage("attach"):
-                codes = [
-                    spec.encode(numerical, categorical)
-                    for spec in self._fitted.specs
-                ]
-            with self.stage("plan_execute"):
-                return self._compiled.run(features, codes, self._stats)
         with self.stage("attach"):
-            operators = [
-                self._member_operator(spec.encode(numerical, categorical), vocab)
-                for spec, vocab in zip(self._fitted.specs, self._fitted.vocabularies)
+            codes = [
+                spec.encode(numerical, categorical) for spec in self._fitted.specs
             ]
-            self._stats["attach_edges"] += int(sum(op.nnz for op in operators))
-        with self.stage("propagate"):
-            return self.model.propagate_queries(
-                features, operators, self.pool_messages
-            )
+        if self._compiled is None:
+            with self.stage("propagate"):
+                return self._forward_full(features, codes)
+        # The executor resolves raw value codes against its vocabulary
+        # lookups (keeping unk/attach accounting identical to the oracle)
+        # and feeds the plan precomputed group means.
+        with self.stage("plan_execute"):
+            return self._compiled.run(features, codes, self._stats)
 
     def compile_plan(self):
+        if not self.incremental:
+            return None  # the full-graph oracle runs on autograd
         from repro.serving.compiled import compile_multiplex
 
         return compile_multiplex(

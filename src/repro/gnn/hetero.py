@@ -85,40 +85,6 @@ class HeteroConv(nn.Module):
             out[dst_type] = ops.add(out[dst_type], message)
         return out
 
-    def query_update(
-        self,
-        h_q: np.ndarray,
-        value_ids: Dict[str, np.ndarray],
-        states: Dict[str, np.ndarray],
-        target: str,
-    ) -> np.ndarray:
-        """One layer update for B query rows of ``target`` type (eval only).
-
-        ``value_ids[src_type]`` holds each query's value-node id in that
-        type (``-1`` = no edge — missing or out-of-vocabulary value);
-        ``states`` are the frozen pool-side inputs to this layer.  A query
-        has at most one edge per incoming edge type, so the mean operator
-        degenerates to a plain lookup — exactly the row a training
-        instance occupies in :meth:`forward`'s per-type operators.
-        """
-        out = self._self_linears[self._node_types.index(target)](Tensor(h_q)).data
-        for edge_type, linear in zip(self._edge_key_order, self._edge_linears):
-            src_type, _, dst_type = edge_type
-            if dst_type != target:
-                continue
-            if src_type == target:
-                raise ValueError(
-                    f"edge type {edge_type} flows {target}→{target}; query "
-                    f"propagation supports value→{target} messages only"
-                )
-            if src_type not in value_ids:
-                raise ValueError(f"no value lookup provided for {src_type!r}")
-            ids = value_ids[src_type]
-            gathered = states[src_type][np.clip(ids, 0, None)]
-            message = linear(Tensor(gathered)).data  # bias-free transform
-            out = out + np.where((ids >= 0)[:, None], message, 0.0)
-        return out
-
 
 class HeteroGNN(nn.Module):
     """Stacked HeteroConv network producing logits for the target node type.
@@ -184,13 +150,13 @@ class HeteroGNN(nn.Module):
                     feats = {t: self.dropout(h) for t, h in feats.items()}
         return feats[self.target_type]
 
-    # -- incremental query scoring (serving) ---------------------------
+    # -- serving: pool-side cache for the compiled plan ----------------
     def pool_states(self) -> List[Dict[str, np.ndarray]]:
         """Per layer: the node states (all types) entering it, eval mode.
 
         Value-node states never depend on query rows (queries receive
-        messages but are not part of the frozen graph), so one pool-only
-        forward caches everything :meth:`propagate_queries` needs.
+        messages but send none), so one pool-only forward caches
+        everything the compiled query path needs.
         """
         states: List[Dict[str, np.ndarray]] = []
         feats = self.node_features()
@@ -200,31 +166,6 @@ class HeteroGNN(nn.Module):
             if i < len(self.layers) - 1:
                 feats = {t: ops.relu(h) for t, h in feats.items()}
         return states
-
-    def propagate_queries(
-        self,
-        features: np.ndarray,
-        value_ids: Dict[str, np.ndarray],
-        pool_states: List[Dict[str, np.ndarray]],
-    ) -> np.ndarray:
-        """Logits ``(B, out_dim)`` for query instances attached by value lookup.
-
-        Because instances receive messages *only* from value-node types and
-        the value-node states are pool-frozen, a training-table row served
-        through this path reproduces its transductive logits exactly.
-        """
-        features = np.asarray(features, dtype=np.float64)
-        if len(pool_states) != len(self.layers):
-            raise ValueError(
-                f"pool_states has {len(pool_states)} entries, "
-                f"network has {len(self.layers)} layers"
-            )
-        h = features
-        for i, (layer, states) in enumerate(zip(self.layers, pool_states)):
-            h = layer.query_update(h, value_ids, states, self.target_type)
-            if i < len(self.layers) - 1:
-                h = np.maximum(h, 0.0)
-        return h
 
     def embed(self) -> Tensor:
         """Target-type representations from the penultimate layer pass."""

@@ -83,7 +83,7 @@ class HypergraphGNN(nn.Module):
         return ops.spmm(self._node_to_edge, self.node_states())
 
     # ------------------------------------------------------------------
-    # incremental serving: frozen node states + query-hyperedge attach
+    # serving: frozen node states for the query-hyperedge attach
     # ------------------------------------------------------------------
     def pool_node_states(self) -> np.ndarray:
         """The frozen value-node states incremental serving caches once.
@@ -96,18 +96,3 @@ class HypergraphGNN(nn.Module):
         ``ModelArtifact.build_model`` does.
         """
         return self.node_states().data
-
-    def propagate_queries(
-        self, attach_view, node_states: np.ndarray
-    ) -> np.ndarray:
-        """Logits for query hyperedges attached over frozen node states.
-
-        ``attach_view`` is :meth:`repro.graph.Hypergraph.attach_view`'s
-        directed node→query-hyperedge view; aggregation runs through the
-        same :class:`~repro.graph.homogeneous.EdgeView` gather/segment
-        substrate every conv layer's ``propagate`` uses, so the cost is
-        O(B·members·d) — independent of how many rows the training
-        hypergraph holds.
-        """
-        edge_states = attach_view.aggregate(Tensor(node_states))
-        return self.head(edge_states).data

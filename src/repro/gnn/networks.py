@@ -13,9 +13,9 @@ Every stack is one :class:`_NodeNetwork` over the edge-wise
 message-passing substrate: a network is a *plan* — a flat sequence of
 row-local steps (projections, activations, dropout) and propagate steps
 (a conv layer plus the :class:`~repro.graph.EdgeView` flavor it consumes).
-``forward``/``embed``/``pool_hidden_states``/``propagate_queries`` are
-implemented here once, generically, so the serving engine's incremental
-fast path is network-agnostic — attention and gated stacks included.
+``forward``/``embed``/``pool_hidden_states``/``serve_plan`` are
+implemented here once, generically, so the serving engine's compiled
+query path is network-agnostic — attention and gated stacks included.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class _Local(object):
 
     ``train_only`` marks steps (dropout) that exist only for regularized
     training forwards — ``embed``, ``pool_hidden_states`` and
-    ``propagate_queries`` skip them.
+    ``serve_plan`` skip them.
     """
 
     __slots__ = ("fn", "train_only")
@@ -67,24 +67,19 @@ class _NodeNetwork(nn.Module):
 
     Subclasses build their layer modules, then register a plan with
     :meth:`_set_plan`; everything else — full-graph forward, embeddings,
-    and the serving engine's incremental query path — is generic.
+    and what the serving engine's query path is compiled from — is generic.
 
-    Incremental query propagation
-    -----------------------------
+    Incremental query serving
+    -------------------------
     The serving engine attaches B query rows to the *frozen* construction
     graph ("the pool") with directed pool→query edges only.  Under that
     topology no message ever flows query→pool, so the pool-side node state
     entering every propagate step is exactly what a pool-only forward
     produces — request-invariant and cacheable
-    (:meth:`pool_hidden_states`).  Per request,
-    :meth:`propagate_queries` replays the plan on the query rows alone:
-    row-local steps touch only the (B, d) query block, and each propagate
-    step runs the layer's own ``propagate`` on a tiny bipartite attach
-    view (:meth:`~repro.graph.Graph.attach_view`) over a local node table
-    of the k gathered neighbor states plus the query states — O(B·k·d),
-    independent of pool size, for every conv family.  GAT's per-query
-    softmax over its k+1 attach edges and the gated GRU updates over the
-    cached per-step pool states fall out of the same loop.
+    (:meth:`pool_hidden_states`).  :mod:`repro.serving.compiled` lowers
+    :meth:`serve_plan` against that cache into kernels that touch only
+    the (B, d) query block and its k gathered neighbor states — O(B·k·d),
+    independent of pool size, for every conv family.
     """
 
     activation = staticmethod(ops.relu)
@@ -114,10 +109,6 @@ class _NodeNetwork(nn.Module):
                 if self.dropout is not None:
                     steps.append(_Local(self.dropout, train_only=True))
         self._set_plan(steps, len(steps) - 1)
-
-    @property
-    def num_message_steps(self) -> int:
-        return sum(1 for step in self._steps if isinstance(step, _Propagate))
 
     # -- generic forward/embed ------------------------------------------
     def _input(self, x: Optional[Tensor]) -> Tensor:
@@ -151,8 +142,8 @@ class _NodeNetwork(nn.Module):
 
         ``hiddens[i]`` is the ``(N, d_i)`` state the i-th propagate step of
         the plan sees when :meth:`forward` runs on the frozen pool
-        (dropout inactive).  Compute once at serving init, pass to every
-        :meth:`propagate_queries` call.
+        (dropout inactive).  Compute once at serving init; the compiled
+        plan folds these into its constants.
         """
         hiddens = []
         h = self.x
@@ -164,73 +155,14 @@ class _NodeNetwork(nn.Module):
                 h = step.fn(h)
         return hiddens
 
-    def propagate_queries(
-        self,
-        features: np.ndarray,
-        neighbor_idx: np.ndarray,
-        pool_hiddens: Sequence[np.ndarray],
-    ) -> np.ndarray:
-        """Logits ``(B, out_dim)`` for query rows attached to the pool.
-
-        ``features`` is the ``(B, d_0)`` query feature block, ``neighbor_idx``
-        the ``(B, k)`` indices of each query's retrieved pool neighbors, and
-        ``pool_hiddens`` the cache from :meth:`pool_hidden_states`.  Matches
-        a full forward over the (pool + queries) graph with directed
-        pool→query attach edges to floating-point round-off.
-        """
-        features = np.asarray(features, dtype=np.float64)
-        neighbor_idx = np.asarray(neighbor_idx, dtype=np.int64)
-        n_pool = self.graph.num_nodes
-        if features.ndim != 2 or features.shape[1] != self.x.shape[1]:
-            raise ValueError(
-                f"features must be (B, {self.x.shape[1]}), got {features.shape}"
-            )
-        if (
-            neighbor_idx.ndim != 2
-            or neighbor_idx.shape[0] != features.shape[0]
-            or neighbor_idx.size == 0
-        ):
-            raise ValueError("neighbor_idx must be a non-empty (B, k) array")
-        if neighbor_idx.min() < 0 or neighbor_idx.max() >= n_pool:
-            raise ValueError(f"neighbor indices must be in [0, {n_pool})")
-        if len(pool_hiddens) != self.num_message_steps:
-            raise ValueError(
-                f"pool_hiddens has {len(pool_hiddens)} entries, "
-                f"plan has {self.num_message_steps} propagation steps"
-            )
-        batch = features.shape[0]
-        flat_neighbors = neighbor_idx.reshape(-1)
-        views: dict[str, object] = {}
-        h = Tensor(features)
-        step_idx = 0
-        for step in self._steps:
-            if isinstance(step, _Propagate):
-                kind = step.view_kind
-                if kind not in views:
-                    views[kind] = self.graph.attach_view(kind, neighbor_idx)
-                # Local node table per the attach-view convention: the
-                # gathered neighbor states (B·k rows, one per attach edge)
-                # followed by the B query states; only the query rows of
-                # the propagate output are live.
-                table = Tensor(
-                    np.concatenate(
-                        [pool_hiddens[step_idx][flat_neighbors], h.data], axis=0
-                    )
-                )
-                h = Tensor(step.module.propagate(table, views[kind]).data[-batch:])
-                step_idx += 1
-            elif not step.train_only:
-                h = step.fn(h)
-        return h.data
-
     def serve_plan(self) -> list:
         """The eval-time step sequence, training-only steps stripped.
 
         The serve-path plan compiler
-        (:mod:`repro.serving.compiled`) walks this sequence to lower
-        :meth:`propagate_queries` into a flat kernel plan; the entries are
-        the same :class:`_Local` / :class:`_Propagate` records the
-        interpreted path replays, in the same order.
+        (:mod:`repro.serving.compiled`) walks this sequence to lower the
+        query path into a flat kernel plan; the entries are the same
+        :class:`_Local` / :class:`_Propagate` records :meth:`forward`
+        runs, in the same order.
         """
         return [
             step

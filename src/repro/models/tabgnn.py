@@ -84,9 +84,8 @@ class TabGNN(nn.Module):
         return ops.softmax(ops.concat(scores, axis=1), axis=1)
 
     def _fuse(self, embeddings: list[Tensor], x: Tensor) -> Tensor:
-        """Fusion + raw-feature projection shared by ``embed`` and the
-        serving-time query path: attention (or mean) over relation
-        embeddings, concatenated with the projected raw features."""
+        """Fusion + raw-feature projection: attention (or mean) over
+        relation embeddings, concatenated with the projected raw features."""
         if self.fusion == "attention":
             alpha = self.relation_attention(embeddings)  # (n, R)
             fused = None
@@ -110,14 +109,15 @@ class TabGNN(nn.Module):
     def forward(self) -> Tensor:
         return self.head(self.embed())
 
-    # -- incremental query scoring (serving) ---------------------------
+    # -- serving: pool-side cache for the compiled plan ----------------
     def pool_message_states(self) -> list[list[np.ndarray]]:
         """Per relation, per conv layer: the pool's *transformed* states.
 
         ``states[r][i]`` is ``linear_i(h_i)`` over the frozen pool — the
         per-node messages entering relation ``r``'s i-th GCN aggregation.
         A query row attached to a same-value group aggregates exactly these
-        rows, so the whole pool side of serving is computed once here.
+        rows, so the whole pool side of serving is computed once here
+        (the compiled plan folds their per-group means into constants).
         """
         states: list[list[np.ndarray]] = []
         for convs, adj in zip(self.relation_encoders, self._adjacencies):
@@ -131,44 +131,3 @@ class TabGNN(nn.Module):
                     h = ops.relu(h)
             states.append(entries)
         return states
-
-    def propagate_queries(
-        self,
-        features: np.ndarray,
-        member_ops: list,
-        pool_messages: list[list[np.ndarray]],
-    ) -> np.ndarray:
-        """Logits ``(B, out_dim)`` for query rows attached by value lookup.
-
-        ``member_ops[r]`` is a ``(B, n_pool)`` sparse row-mean operator:
-        row ``q`` holds ``1/|g|`` over the pool members sharing query
-        ``q``'s value in relation ``r`` (an all-zero row when the value is
-        unseen or missing).  Queries with a group aggregate the cached pool
-        messages of that group; queries without one fall back to their own
-        transformed state — exactly the self-loop a node with no same-value
-        partner has in the training graph.  For uncapped value groups this
-        reproduces a training row's transductive logits to round-off,
-        because GCN over a value clique is precisely the group mean.
-        """
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.x.shape[1]:
-            raise ValueError(
-                f"features must be (B, {self.x.shape[1]}), got {features.shape}"
-            )
-        if len(member_ops) != len(self.relation_encoders):
-            raise ValueError(
-                f"expected {len(self.relation_encoders)} relation operators, "
-                f"got {len(member_ops)}"
-            )
-        embeddings: list[Tensor] = []
-        for convs, op, messages in zip(
-            self.relation_encoders, member_ops, pool_messages
-        ):
-            has_group = np.asarray(op.sum(axis=1)).reshape(-1) > 0.5
-            h = features
-            for i, conv in enumerate(convs):
-                own = conv.linear(Tensor(h)).data
-                combined = np.where(has_group[:, None], op @ messages[i], own)
-                h = np.maximum(combined, 0.0) if i < len(convs) - 1 else combined
-            embeddings.append(Tensor(h))
-        return self.head(self._fuse(embeddings, Tensor(features))).data

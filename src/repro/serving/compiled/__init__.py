@@ -36,9 +36,11 @@ preallocated by the plan. A swap-in backend (e.g. a GPU runtime) replaces
 ``tabgnn_fuse``     per-instance attention fusion over relation embeddings
 ================== =====================================================
 
-Compilation is best-effort: each ``compile_*`` returns ``None`` for any
-configuration its lowering does not cover, and callers keep the
-interpreted autograd path — plug-in formulations work unchanged.
+Every built-in formulation lowers: a ``compile_*`` that meets a
+configuration its lowering does not cover raises, so the failure shows at
+engine init.  Plug-in formulations whose scorer returns no plan from
+:meth:`~repro.formulations.RowScorer.compile_plan` serve through their own
+``score``.
 """
 
 from .kernels import KERNELS

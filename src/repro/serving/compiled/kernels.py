@@ -177,8 +177,8 @@ def gat_attach(
     """One GAT layer over the attach view, fused gather→score→softmax→sum.
 
     Each query attends over exactly its ``k`` retrieved neighbors plus its
-    self loop, per head — a dense ``(B, k+1, heads)`` softmax replacing the
-    interpreted path's ``segment_softmax`` over the local edge list (same
+    self loop, per head — a dense ``(B, k+1, heads)`` softmax replacing
+    :meth:`GATConv.propagate`'s ``segment_softmax`` over an edge list (same
     per-destination max-shift, same edge order: neighbors then loop).
     ``pool_h`` / ``pool_score`` are the pool states pre-projected through
     the layer weights at compile time.

@@ -30,9 +30,8 @@ from .kernels import KERNELS
 class UnsupportedPlanError(RuntimeError):
     """A scorer's query path contains a step the lowerings cannot emit.
 
-    Raised during compilation only — callers fall back to the interpreted
-    (autograd) path, so plug-in formulations and custom layers keep
-    working unchanged.
+    Raised during compilation only, so a built-in scorer that cannot be
+    lowered fails at engine init instead of serving a slower path.
     """
 
 

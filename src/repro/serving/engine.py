@@ -19,7 +19,9 @@ provides (:meth:`~repro.formulations.FittedFormulation.make_scorer`):
   value codes to pool value-node state (with binned numerical columns
   re-binned through the frozen quantile edges).  Never-seen values land in
   the UNK bucket (counted in ``stats["unk_values"]``) and still produce
-  valid predictions; the vocabulary never grows at serve time.
+  valid predictions; the vocabulary never grows at serve time.  The oracle
+  appends the queries as nodes that only receive edges from the frozen
+  value groups / value nodes.
 * **hypergraph** — each unseen row attaches as a *new hyperedge* over the
   frozen value nodes: the artifact carries the incidence structure and the
   frozen row→value-node encoder, the scorer caches the value-node states
@@ -28,10 +30,12 @@ provides (:meth:`~repro.formulations.FittedFormulation.make_scorer`):
   size, with the attached full-graph forward kept as the parity oracle
   (``incremental=False``).
 
-The engine itself is formulation-blind: it validates rows, handles the
-LRU prediction cache and stats, and softmaxes whatever logits the scorer
-returns.  Registering a new formulation therefore requires no engine
-edits.
+Every built-in formulation has exactly two scoring paths: the compiled
+plan (the default) and the full-graph autograd oracle
+(``incremental=False``).  The engine itself is formulation-blind: it
+validates rows, handles the LRU prediction cache and stats, and softmaxes
+whatever logits the scorer returns.  Registering a new formulation
+therefore requires no engine edits.
 
 Repeated rows are memoized in a bounded LRU cache keyed on the raw row
 bytes, so hot rows (the head of a production traffic distribution) skip
@@ -85,12 +89,13 @@ class InferenceEngine:
         Maximum number of distinct rows memoized in the LRU prediction
         cache; ``0`` disables caching.
     incremental:
-        ``None`` (default) lets the formulation pick its best path — the
-        cached-pool incremental path everywhere one exists.  ``False``
-        forces the instance formulation's full-graph oracle; explicit
-        values a formulation cannot honor raise ``ValueError`` (feature
-        artifacts have no pool to propagate from; multiplex/hetero have no
-        full-graph oracle).
+        ``None`` (default) serves the formulation's compiled plan, which
+        propagates only the query rows against cached pool state wherever
+        the formulation has a pool.  ``False`` serves the full-graph
+        autograd oracle instead (every built-in formulation has one).
+        Explicit values a formulation cannot honor raise ``ValueError``
+        (feature artifacts have no pool to propagate from, so reject
+        ``True``).
     registry:
         A shared :class:`~repro.obs.MetricsRegistry` to report into (the
         prediction server passes its own so one ``/metrics`` scrape covers
@@ -107,19 +112,6 @@ class InferenceEngine:
         is what keeps instrumentation inside the < 5% overhead budget —
         the request-latency histogram stays exact because it never
         samples.
-    compiled:
-        ``True`` (default) lowers the scorer's query path to a flat
-        compiled plan (:mod:`repro.serving.compiled`) at construction:
-        pure-numpy kernels over preallocated reused buffers, no autograd
-        Tensor wrappers or backward closures on the hot path, pool-side
-        work folded into compile-time constants.  Best-effort — scorers
-        whose path cannot be lowered (plug-in formulations, oracle modes)
-        silently keep the interpreted autograd path.  ``self.compiled``
-        reports which path serves; ``self.compile_ms`` the one-time
-        lowering cost.  Per-request complexity is unchanged (the
-        incremental paths were already O(B·k·d) / O(B·columns·d)); the
-        constant factor drops because each request now executes only the
-        query-dependent kernels.
     index / nprobe:
         Retrieval-index selection for formulations that attach queries by
         pool retrieval (the instance formulation): ``index="exact"`` keeps
@@ -139,6 +131,15 @@ class InferenceEngine:
 
     Notes
     -----
+    At construction the scorer's query path is lowered to a flat compiled
+    plan (:mod:`repro.serving.compiled`): pure-numpy kernels over
+    preallocated reused buffers, no autograd on the hot path, pool-side
+    work folded into compile-time constants.  ``self.compiled`` reports
+    whether the plan serves — ``False`` for the ``incremental=False``
+    oracle and for plug-in formulations that bring no plan — and
+    ``self.compile_ms`` the one-time lowering cost.  A built-in scorer
+    whose plan cannot be lowered raises here rather than serving slower.
+
     Cache hits return the stored array itself (no copy, no forward pass);
     cached arrays are marked read-only so accidental mutation raises
     instead of corrupting the cache.  The engine is thread-safe: a lock
@@ -154,7 +155,7 @@ class InferenceEngine:
     ``cache → score(encode → attach → plan_execute|propagate) → head``
     stages (``repro_stage_duration_seconds{formulation,stage}``) —
     compiled execution reports the ``plan_execute`` stage where the
-    interpreted path reports ``propagate``.  ``stats``
+    full-graph oracle and plug-in scorers report ``propagate``.  ``stats``
     stays a plain dict — mutated only under the engine lock, so
     increments cost the same as before instrumentation — and is exported
     to the registry through collection-time callbacks
@@ -170,7 +171,6 @@ class InferenceEngine:
         registry: Optional[MetricsRegistry] = None,
         observability: bool = True,
         trace_every: int = 32,
-        compiled: bool = True,
         index: Optional[str] = None,
         nprobe: Optional[int] = None,
     ) -> None:
@@ -214,12 +214,9 @@ class InferenceEngine:
         self.index: Optional[str] = getattr(self._scorer, "index", None)
         self.nprobe: Optional[int] = getattr(self._scorer, "nprobe", None)
         self.index_build_ms = float(getattr(self._scorer, "index_build_ms", 0.0))
-        self.compiled = False
-        self.compile_ms = 0.0
-        if compiled:
-            started = time.perf_counter()
-            self.compiled = bool(self._scorer.enable_compiled())
-            self.compile_ms = (time.perf_counter() - started) * 1000.0
+        started = time.perf_counter()
+        self.compiled = bool(self._scorer.enable_compiled())
+        self.compile_ms = (time.perf_counter() - started) * 1000.0
         if self._tracer is not None:
             self._scorer.bind_tracer(self._tracer)
             # The scorer's __init__ has now setdefault'ed its own keys
@@ -291,7 +288,8 @@ class InferenceEngine:
         ).labels(**labels).set_function(lambda: len(self._cache))
         self.registry.gauge(
             "repro_engine_compiled",
-            "1 when the compiled plan serves the hot path, 0 interpreted.",
+            "1 when the compiled plan serves, 0 on the full-graph oracle "
+            "or a plug-in scorer.",
             labelnames=("formulation",),
         ).labels(**labels).set_function(
             lambda: 1.0 if self.compiled else 0.0

@@ -106,13 +106,9 @@ def _parse_row(row: Dict[str, object]) -> Tuple[np.ndarray, Optional[np.ndarray]
         numerical = np.asarray(row["numerical"], dtype=np.float64).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise _BadRequest(f"bad numerical values: {exc}") from exc
-    categorical = None
-    if row.get("categorical") is not None:
-        try:
-            categorical = np.asarray(row["categorical"], dtype=np.int64).reshape(-1)
-        except (TypeError, ValueError) as exc:
-            raise _BadRequest(f"bad categorical values: {exc}") from exc
-    return numerical, categorical
+    # Categorical codes pass through raw: normalize_rows validates them
+    # (a fractional or non-finite code is a 400, never truncated).
+    return numerical, row.get("categorical")
 
 
 def execute_predict(
@@ -594,8 +590,8 @@ class PredictionServer:
         so operators can verify what a deployment serves — which
         formulation and artifact schema, whether requests ride a
         cached-pool incremental path, whether the compiled plan (vs the
-        interpreted autograd path) executes them, and which retrieval
-        index backend attaches queries (``index``/``nprobe``/
+        full-graph oracle or a plug-in's own scorer) executes them, and
+        which retrieval index backend attaches queries (``index``/``nprobe``/
         ``index_build_ms``; ``index`` is ``null`` for formulations that do
         not retrieve from a pool) — without digging through the artifact
         summary.  Engine and batcher stats are

@@ -1,11 +1,12 @@
 """Compiled inference plans: lowering coverage, semantics, and fallbacks.
 
 Parity at the engine level is fuzzed per registry cell in
-``test_formulation_matrix.py``; this module tests the plan machinery
-itself — the step vocabulary, buffer lifecycle, per-network lowering of
-every conv substrate (untrained artifacts: lowering correctness does not
-depend on the weights), and the best-effort contract (paths that cannot
-be lowered fall back to the interpreted scorer, never error).
+``test_formulation_matrix.py`` and per instance network in
+``test_incremental_serving.py``; this module checks each untrained
+network's plan against the oracle once, then tests the plan machinery
+itself — the step vocabulary, buffer lifecycle, and the lowering contract
+(built-in paths that cannot be lowered raise at engine init; plug-ins
+without a plan serve through their own scorer).
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from repro.construction.rules import knn_graph
 from repro.datasets import TabularPreprocessor, make_correlated_instances
-from repro.gnn.networks import build_network
+from repro.gnn.networks import _Local, build_network
 from repro.serving import InferenceEngine, ModelArtifact
 from repro.serving.compiled import (
     KERNELS,
@@ -21,8 +22,8 @@ from repro.serving.compiled import (
     PlanBuilder,
     PlanStep,
     UnsupportedPlanError,
-    compile_instance,
 )
+from repro.tensor import ops
 
 NETWORKS = ("gcn", "sage", "gin", "gat", "gated")
 
@@ -49,11 +50,6 @@ def _instance_artifact(network, n=60, hidden=16, k=5, seed=0):
         pool_x=np.asarray(graph.x, dtype=np.float64),
         pool_edge_index=graph.edge_index.astype(np.int64),
     )
-
-
-def _rows(artifact, n=12, seed=42):
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, 1.0, (n, artifact.preprocessor.num_numerical_features))
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +110,18 @@ class TestPlanMachinery:
 # per-network lowering parity (untrained weights, engine level)
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("network", NETWORKS)
-def test_network_lowering_matches_interpreted(network):
+def test_network_lowering_matches_full_graph_oracle(network):
     artifact = _instance_artifact(network)
-    rows = _rows(artifact)
+    rows = make_correlated_instances(n=60, seed=0).numerical[:6] + 0.05
     compiled = InferenceEngine(artifact, cache_size=0)
-    interpreted = InferenceEngine(artifact, cache_size=0, compiled=False)
-    assert compiled.compiled and not interpreted.compiled
+    oracle = InferenceEngine(artifact, cache_size=0, incremental=False)
+    assert compiled.compiled and not oracle.compiled
     assert compiled.compile_ms > 0.0
     np.testing.assert_allclose(
-        compiled.predict_batch(rows), interpreted.predict_batch(rows),
-        atol=1e-8,
+        compiled.predict_batch(rows), oracle.predict_batch(rows), atol=1e-8
     )
     # Attach accounting identical: the plan consumes the same neighbors.
-    assert compiled.stats["attach_edges"] == interpreted.stats["attach_edges"]
+    assert compiled.stats["attach_edges"] == oracle.stats["attach_edges"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +129,30 @@ def test_network_lowering_matches_interpreted(network):
 # ---------------------------------------------------------------------------
 class TestFallbacks:
     def test_full_graph_oracle_stays_interpreted(self):
+        # The oracle runs the autograd forward; no plan is built for it.
         engine = InferenceEngine(
             _instance_artifact("gcn"), cache_size=0, incremental=False
         )
         assert not engine.compiled
+        assert engine._scorer._compiled is None
         assert engine.compile_ms >= 0.0
 
-    def test_compiled_false_opts_out(self):
-        engine = InferenceEngine(
-            _instance_artifact("gcn"), cache_size=0, compiled=False
-        )
-        assert not engine.compiled
-        assert engine._scorer._compiled is None
+    def test_unlowerable_builtin_raises_at_engine_init(self):
+        # A built-in scorer never degrades silently: a network step the
+        # lowerings do not cover fails the engine at construction.
+        artifact = _instance_artifact("gcn")
+        build = artifact.build_model
 
-    def test_unloweable_model_falls_back_to_interpreted(self):
-        # compile_instance is best-effort: a model without a serve_plan
-        # (e.g. a plug-in architecture) yields None, not an error.
-        class Opaque:
-            pass
+        def with_opaque_step(graph=None):
+            model = build(graph)
+            model._steps.insert(1, _Local(ops.exp))
+            return model
 
-        assert compile_instance(Opaque(), None, [], 5) is None
+        artifact.build_model = with_opaque_step
+        with pytest.raises(UnsupportedPlanError, match="unsupported local step"):
+            InferenceEngine(artifact, cache_size=0)
+        # The oracle builds no plan, so the same artifact still serves it.
+        assert not InferenceEngine(artifact, incremental=False).compiled
 
     def test_default_scorer_hook_keeps_plugins_interpreted(self):
         from repro.formulations.base import RowScorer
@@ -171,6 +170,6 @@ class TestFallbacks:
         engine = InferenceEngine(_instance_artifact("gcn"))
         text = engine.registry.render_prometheus()
         assert 'repro_engine_compiled{formulation="instance"} 1' in text
-        interpreted = InferenceEngine(_instance_artifact("gcn"), compiled=False)
-        text = interpreted.registry.render_prometheus()
+        oracle = InferenceEngine(_instance_artifact("gcn"), incremental=False)
+        text = oracle.registry.render_prometheus()
         assert 'repro_engine_compiled{formulation="instance"} 0' in text

@@ -10,6 +10,7 @@ from repro.datasets import (
     OrdinalEncoder,
     StandardScaler,
     TabularDataset,
+    TabularPreprocessor,
     inject_missing,
     make_anomaly,
     make_classification,
@@ -263,6 +264,18 @@ class TestPreprocessing:
     def test_discretizer_min_bins(self):
         with pytest.raises(ValueError):
             KBinsDiscretizer(1)
+
+    def test_normalize_rows_rejects_non_integral_categoricals(self):
+        dataset = make_fraud(n=40, seed=0)
+        prep = TabularPreprocessor(mode="onehot").fit(dataset)
+        row = dataset.numerical[0]
+        for bad in ([3.5, 2], [np.nan, 1], [np.inf, 1], [10**30, 1], ["a", 1]):
+            with pytest.raises(ValueError, match="categorical"):
+                prep.normalize_rows(row, bad)
+        # Integral codes pass whatever their dtype; -1 stays "missing".
+        _, codes = prep.normalize_rows(row, np.array([3.0, -1.0]))
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, [[3, -1]])
 
 
 class TestSplits:

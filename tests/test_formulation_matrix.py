@@ -2,14 +2,14 @@
 
 The formulation × serving matrix is closed: every formulation registered
 as servable must export → reload → serve, and the served probabilities
-must match that formulation's oracle to 1e-8 —
-
-* the **full-graph oracle** (``incremental=False``) where one exists
-  (instance rebuilds the induced pool+queries graph, hypergraph appends
-  query columns to the incidence, feature re-scores directly);
-* the **transductive forward** where vocabulary lookup *is* the serve
-  path (multiplex/hetero raise on ``incremental=False``), in which case
-  served training rows must reproduce the training logits exactly.
+of the compiled plan (the default) must match that formulation's
+**full-graph autograd oracle** (``incremental=False``) to 1e-8 — instance
+rebuilds the induced pool+queries graph, multiplex appends the queries
+under a group-mean/self-loop operator per relation, hetero appends them
+as target nodes fed by value→query edges, hypergraph appends query
+columns to the incidence, feature re-scores through the autograd model.
+Formulations that do not retrieve from a pool additionally reproduce the
+transductive training logits on training rows.
 
 The matrix is built from the live registry at collection time, so a
 formulation registered later is fuzzed automatically with zero edits
@@ -80,12 +80,20 @@ def _cell_rng(form, network):
 
 
 def _oracle_engine(artifact):
-    """The formulation's full-graph oracle, or ``None`` if the serve path
-    is its own oracle (vocabulary-lookup formulations reject the flag)."""
-    try:
-        return InferenceEngine(artifact, cache_size=0, incremental=False)
-    except ValueError:
-        return None
+    """The formulation's full-graph autograd oracle."""
+    return InferenceEngine(artifact, cache_size=0, incremental=False)
+
+
+def _fuzzed_rows(dataset, rng, size=12):
+    """Perturbed unseen rows with NaN numericals and missing categoricals."""
+    idx = rng.choice(dataset.num_instances, size=size, replace=False)
+    numerical = dataset.numerical[idx] + rng.normal(
+        0.0, 0.5, (idx.size, dataset.num_numerical)
+    )
+    categorical = dataset.categorical[idx].copy()
+    numerical[rng.random(numerical.shape) < 0.25] = np.nan
+    categorical[rng.random(categorical.shape) < 0.25] = -1
+    return numerical, categorical
 
 
 def test_matrix_covers_every_servable_formulation():
@@ -107,88 +115,67 @@ def test_export_reload_serve_matches_oracle(form, network, tmp_path, dataset, tr
     assert np.isfinite(served).all()
     np.testing.assert_allclose(served.sum(axis=1), 1.0, atol=1e-10)
 
-    oracle = _oracle_engine(loaded)
-    if oracle is not None:
-        expected = oracle.predict_batch(
-            dataset.numerical[idx], dataset.categorical[idx]
-        )
-    else:
-        # No full-graph path: the transductive forward is the oracle, and
-        # value-node serving must reproduce it exactly on training rows.
+    expected = _oracle_engine(loaded).predict_batch(
+        dataset.numerical[idx], dataset.categorical[idx]
+    )
+    np.testing.assert_allclose(served, expected, atol=1e-8)
+    if engine.index is None:
+        # Without retrieval a training row rejoins its own training-graph
+        # position, so serving must reproduce the transductive forward.
         # softmax_rows is what the engine applies to scorer logits, so the
         # comparison uses the very same probability mapping.
-        expected = softmax_rows(result.state.logits()[idx], axis=1)
-    np.testing.assert_allclose(served, expected, atol=1e-8)
+        np.testing.assert_allclose(
+            served, softmax_rows(result.state.logits()[idx], axis=1), atol=1e-8
+        )
 
 
 @pytest.mark.parametrize(("form", "network"), MATRIX)
 def test_fuzzed_unseen_rows_serve_validly(form, network, dataset, trained):
     # Seeded fuzz over genuinely unseen traffic: perturbed numericals and
-    # randomly-missing cells must score to finite, normalized probabilities
-    # on the serve path, and on the full-graph oracle where one exists the
-    # two paths must agree to 1e-8 even for these rows.
-    artifact = trained(form, network).export_artifact()
-    engine = InferenceEngine(artifact, cache_size=0)
-    rng = _cell_rng(form, network)
-
-    idx = rng.choice(dataset.num_instances, size=12, replace=False)
-    numerical = dataset.numerical[idx] + rng.normal(
-        0.0, 0.5, (idx.size, dataset.num_numerical)
-    )
-    categorical = dataset.categorical[idx].copy()
-    missing = rng.random(numerical.shape) < 0.25
-    numerical[missing] = np.nan
-    categorical[rng.random(categorical.shape) < 0.25] = -1
-
+    # randomly-missing cells must score to finite, normalized
+    # probabilities on the serve path.
+    engine = InferenceEngine(trained(form, network).export_artifact(), cache_size=0)
+    numerical, categorical = _fuzzed_rows(dataset, _cell_rng(form, network))
     served = engine.predict_batch(numerical, categorical)
-    assert served.shape == (idx.size, dataset.num_classes)
+    assert served.shape == (numerical.shape[0], dataset.num_classes)
     assert np.isfinite(served).all()
     np.testing.assert_allclose(served.sum(axis=1), 1.0, atol=1e-10)
 
-    oracle = _oracle_engine(artifact)
-    if oracle is not None:
-        np.testing.assert_allclose(
-            served, oracle.predict_batch(numerical, categorical), atol=1e-8
-        )
-
 
 @pytest.mark.parametrize(("form", "network"), MATRIX)
-def test_compiled_plan_matches_interpreted_scorer(form, network, dataset, trained):
-    # The compiled plan (default) must reproduce the interpreted autograd
-    # scorer to 1e-8 on every registered servable cell — including fuzzed
-    # unseen rows, missing cells, and a never-seen categorical code — and
-    # must keep the serving counters (unk_values, attach_edges) identical.
-    # Plug-in formulations whose path cannot be lowered fall back to the
-    # interpreted scorer, so this comparison holds for them trivially.
+def test_compiled_plan_matches_full_graph_oracle(form, network, dataset, trained):
+    # The compiled plan (default) must reproduce the full-graph autograd
+    # oracle to 1e-8 on every registered servable cell — training rows,
+    # fuzzed unseen rows, missing cells, and a never-seen categorical
+    # code — and must keep the serving counters (unk_values,
+    # attach_edges) identical.  The oracle shares no code with the plan
+    # lowerings: it runs the model's ordinary forward on an attached graph.
     artifact = trained(form, network).export_artifact()
     compiled = InferenceEngine(artifact, cache_size=0)
-    interpreted = InferenceEngine(artifact, cache_size=0, compiled=False)
+    oracle = _oracle_engine(artifact)
     assert compiled.compiled, "registry formulations all lower to plans"
-    assert not interpreted.compiled
+    assert not oracle.compiled
     assert compiled.compile_ms > 0.0
     rng = _cell_rng(form, network)
 
-    idx = rng.choice(dataset.num_instances, size=12, replace=False)
-    numerical = dataset.numerical[idx] + rng.normal(
-        0.0, 0.5, (idx.size, dataset.num_numerical)
-    )
-    categorical = dataset.categorical[idx].copy()
-    numerical[rng.random(numerical.shape) < 0.25] = np.nan
-    categorical[rng.random(categorical.shape) < 0.25] = -1
-    categorical[:2, 0] = 10_000_000  # never-seen code → UNK bucket
+    train = rng.choice(dataset.num_instances, size=6, replace=False)
+    numerical, categorical = _fuzzed_rows(dataset, rng)
+    numerical = np.concatenate([dataset.numerical[train], numerical])
+    categorical = np.concatenate([dataset.categorical[train], categorical])
+    categorical[-2:, 0] = 10_000_000  # never-seen code → UNK bucket
 
     np.testing.assert_allclose(
         compiled.predict_batch(numerical, categorical),
-        interpreted.predict_batch(numerical, categorical),
+        oracle.predict_batch(numerical, categorical),
         atol=1e-8,
     )
     np.testing.assert_allclose(
-        compiled.predict(numerical[:1], categorical[:1]),
-        interpreted.predict(numerical[:1], categorical[:1]),
+        compiled.predict(numerical[-1:], categorical[-1:]),
+        oracle.predict(numerical[-1:], categorical[-1:]),
         atol=1e-8,
     )
     for key in ("unk_values", "attach_edges"):
-        assert compiled.stats.get(key) == interpreted.stats.get(key), key
+        assert compiled.stats.get(key) == oracle.stats.get(key), key
 
 
 @pytest.mark.parametrize("network", INSTANCE_NETWORKS)
@@ -206,15 +193,7 @@ def test_ivf_served_prediction_drift_bounded(network, dataset, trained):
     ivf = InferenceEngine(artifact, cache_size=0, index="ivf", nprobe=12)
     assert ivf.index == "ivf" and ivf.nprobe == 12
     assert ivf.index_build_ms > 0.0
-    rng = _cell_rng("instance", network)
-
-    idx = rng.choice(dataset.num_instances, size=12, replace=False)
-    numerical = dataset.numerical[idx] + rng.normal(
-        0.0, 0.5, (idx.size, dataset.num_numerical)
-    )
-    categorical = dataset.categorical[idx].copy()
-    numerical[rng.random(numerical.shape) < 0.25] = np.nan
-    categorical[rng.random(categorical.shape) < 0.25] = -1
+    numerical, categorical = _fuzzed_rows(dataset, _cell_rng("instance", network))
 
     drift = np.abs(
         np.asarray(ivf.predict_batch(numerical, categorical))

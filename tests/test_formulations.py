@@ -151,6 +151,14 @@ class TestServableRoundTrip:
         probs = engine.predict_batch(big.numerical[:5], big.categorical[:5])
         assert np.isfinite(probs).all()
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
+        # The group-mean semantics are exactly what the full-graph oracle
+        # computes for attached rows, capped groups included.
+        oracle = InferenceEngine(loaded, cache_size=0, incremental=False)
+        np.testing.assert_allclose(
+            probs,
+            oracle.predict_batch(big.numerical[:5], big.categorical[:5]),
+            atol=1e-8,
+        )
 
     @pytest.mark.parametrize("form", ["multiplex", "hetero", "hypergraph"])
     def test_unseen_value_hits_unk_bucket(self, form, tmp_path, dataset, results):
@@ -177,13 +185,52 @@ class TestServableRoundTrip:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("form", ["multiplex", "hetero"])
-    def test_no_full_graph_oracle_for_value_node_formulations(
-        self, form, results
+    def test_value_node_formulations_match_full_graph_oracle(
+        self, form, dataset, results
     ):
-        with pytest.raises(ValueError, match="full-graph oracle"):
-            InferenceEngine(
-                results[form].export_artifact(), cache_size=0, incremental=False
+        # The oracle appends the queries to the frozen graph as nodes that
+        # only receive edges (multiplex: group-mean rows plus UNK self
+        # loops; hetero: value→query edges) and runs the autograd forward;
+        # the compiled plan must agree on unseen rows, UNK codes included.
+        artifact = results[form].export_artifact()
+        rng = np.random.default_rng(7)
+        numerical = dataset.numerical[:12] + rng.normal(
+            0, 0.3, (12, dataset.num_numerical)
+        )
+        categorical = dataset.categorical[:12].copy()
+        categorical[:3, 0] = 10_000_000
+        categorical[3:5, 1] = -1
+        oracle = InferenceEngine(artifact, cache_size=0, incremental=False)
+        assert not oracle.incremental and not oracle.compiled
+        np.testing.assert_allclose(
+            InferenceEngine(artifact, cache_size=0).predict_batch(
+                numerical, categorical
+            ),
+            oracle.predict_batch(numerical, categorical),
+            atol=1e-8,
+        )
+
+    @pytest.mark.parametrize("form", ["multiplex", "hetero", "hypergraph"])
+    def test_compiled_plan_keeps_oracle_serving_stats(
+        self, form, dataset, results
+    ):
+        # UNK and attach-edge counters are part of the serving contract:
+        # the compiled plan must report what the full-graph oracle reports.
+        artifact = results[form].export_artifact()
+        categorical = dataset.categorical[:8].copy()
+        categorical[:2, 0] = 10_000_000
+        categorical[2:4, 1] = -1
+        stats = []
+        for incremental in (None, False):
+            engine = InferenceEngine(
+                artifact, cache_size=0, incremental=incremental
             )
+            engine.predict_batch(dataset.numerical[:8], categorical)
+            stats.append(
+                (engine.stats["unk_values"], engine.stats["attach_edges"])
+            )
+        assert stats[0] == stats[1]
+        assert stats[0][0] == 2 and stats[0][1] > 0
 
     def test_hypergraph_incremental_matches_full_graph_oracle(
         self, dataset, results

@@ -1,11 +1,10 @@
 """Tests for incremental query propagation through the serving stack.
 
-The incremental path (cached per-step pool activations + generic
-propagation over the bipartite attach view) must be numerically
-indistinguishable from the full-graph oracle (rebuild the
-(pool + queries) graph, re-forward everything) for **every** network in
-the zoo — operator, attention and gated stacks alike — across retrieval
-metrics and batch sizes.  Also covers the supporting machinery this path
+The incremental path (cached per-step pool activations feeding the
+compiled query plan) must be numerically indistinguishable from the
+full-graph oracle (rebuild the (pool + queries) graph, re-forward
+everything) for **every** network in the zoo — operator, attention and
+gated stacks alike — across retrieval metrics and batch sizes.  Also covers the supporting machinery this path
 leans on: memoized graph operators and edge views, the precomputed
 ``PoolIndex``, skip-init artifact loading, and LRU cache
 eviction/read-only guarantees.
@@ -131,19 +130,14 @@ class TestIncrementalParity:
         assert engine._scorer.model is model
         assert len(builds) == 1, "incremental path must not rebuild per request"
 
-    def test_propagate_queries_validates_inputs(self):
+    def test_compiled_executor_validates_inputs(self):
         _, artifact = _instance_artifact("gcn", "euclidean")
-        engine = InferenceEngine(artifact, cache_size=0)
-        model, hiddens = engine._scorer.model, engine._scorer.pool_hiddens
+        executor = InferenceEngine(artifact, cache_size=0)._scorer._compiled
         good = np.zeros((2, artifact.pool_x.shape[1]))
         with pytest.raises(ValueError, match="features"):
-            model.propagate_queries(np.zeros((2, 3)), np.zeros((2, K), np.int64), hiddens)
+            executor.run(np.zeros((2, 3)), np.zeros((2, K), np.int64))
         with pytest.raises(ValueError, match="neighbor"):
-            model.propagate_queries(good, np.zeros((3, K), np.int64), hiddens)
-        with pytest.raises(ValueError, match="neighbor indices"):
-            model.propagate_queries(good, np.full((2, K), POOL_ROWS), hiddens)
-        with pytest.raises(ValueError, match="propagation steps"):
-            model.propagate_queries(good, np.zeros((2, K), np.int64), hiddens[:1])
+            executor.run(good, np.zeros((3, K), np.int64))
 
 
 # ----------------------------------------------------------------------

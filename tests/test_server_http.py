@@ -128,6 +128,18 @@ class TestErrorPaths:
         assert status == 400
         assert "categorical" in payload["error"]
 
+    def test_non_integral_categorical_returns_400(self, server, dataset):
+        # A fractional or non-finite code is rejected, never truncated.
+        for bad in ([3.5, 0], [float("nan"), 0]):
+            row = _good_row(dataset)
+            row["categorical"] = bad
+            for body in (row, {"rows": [_good_row(dataset), row]}):
+                status, payload = _request(
+                    server, "POST", "/predict", body=json.dumps(body)
+                )
+                assert status == 400, (bad, body)
+                assert "categorical" in payload["error"]
+
     def test_missing_numerical_key_returns_400(self, server):
         status, payload = _request(
             server, "POST", "/predict", body=json.dumps({"categorical": [1]})

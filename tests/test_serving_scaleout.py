@@ -278,6 +278,12 @@ class TestScaleOutE2E:
             json.dumps({"numerical": [0.0] * 3}).encode(),
         )
         assert status == 400
+        status, body = _http(
+            scaleout, "POST", "/predict",
+            json.dumps({"numerical": [0.1] * 16, "categorical": [3.5]}).encode(),
+        )
+        assert status == 400
+        assert "categorical" in json.loads(body)["error"]
         status, body = _http(scaleout, "GET", "/nope")
         assert status == 404
 
