@@ -216,7 +216,7 @@ def _run_micro_batched():
         batcher.submit(row)
         return time.perf_counter() - t0
 
-    with MicroBatcher(engine, max_batch_size=64, max_delay_ms=5.0) as batcher:
+    with MicroBatcher(engine, max_batch_size=64) as batcher:
         start = time.perf_counter()
         with ThreadPoolExecutor(32) as pool:
             latencies = list(pool.map(hit, STATE["rows"]))

@@ -277,7 +277,8 @@ class TabularPreprocessor:
         block in onehot mode / mean-imputed after scaling in fields mode)
         rather than silently asserting category 0, and categorical codes
         that are not finite integers (``3.5``, ``nan``, ``inf``) raise
-        ``ValueError`` instead of being truncated.
+        ``ValueError`` instead of being truncated.  Numerical ``±inf``
+        raises too; ``nan`` stays the "missing" value (zero after scaling).
         """
         self._check_fitted()
         numerical = np.asarray(numerical, dtype=np.float64)
@@ -288,6 +289,12 @@ class TabularPreprocessor:
             raise ValueError(
                 f"expected {self.num_numerical_features} numerical columns, "
                 f"got {numerical.shape[1]}"
+            )
+        infinite = np.isinf(numerical)
+        if infinite.any():
+            raise ValueError(
+                "numerical values must be finite or NaN (missing); got inf "
+                f"in column(s) {np.nonzero(infinite.any(axis=0))[0].tolist()}"
             )
         if categorical is None:
             categorical = np.full(

@@ -19,7 +19,6 @@ from repro import nn
 from repro.construction.retrieval import PoolIndex
 from repro.construction.rules import knn_graph
 from repro.datasets.preprocessing import TabularPreprocessor
-from repro.datasets.tabular import TabularDataset
 from repro.formulations.base import FittedFormulation, Formulation, RowScorer
 from repro.gnn.networks import build_network
 from repro.graph.homogeneous import Graph

@@ -8,8 +8,6 @@ states, which feed the prediction head — the HCL/PET substrate.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 import scipy.sparse as sp
 

@@ -12,8 +12,6 @@ with the raw-feature projection, and classified by an MLP head.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro import nn

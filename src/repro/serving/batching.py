@@ -6,19 +6,22 @@ the induced (pool + queries) graph — for every single row.  Numpy
 vectorization makes the *marginal* row nearly free, so throughput under
 concurrent single-row traffic is won by coalescing: the
 :class:`MicroBatcher` queues incoming rows and flushes one engine call per
-batch, bounded by ``max_batch_size`` rows or ``max_delay_ms`` of waiting,
-whichever comes first.
+batch of up to ``max_batch_size`` rows.
 
-The batcher owns one consumer thread; producers (HTTP handler threads,
-benchmark workers) block in :meth:`submit` until their row's probabilities
-arrive.  ``bench_serving_throughput.py`` measures the resulting speedup.
+Batching is opportunistic: the consumer thread blocks for the first row,
+then takes whatever else is already queued and flushes at once.  No row
+ever waits on a timer — a lone request costs one engine call — and under
+load rows pile up while the engine works, so the next batch is as large
+as the backlog.  Producers (HTTP handler threads, benchmark workers) block
+in :meth:`submit` until their row's probabilities arrive.
+``bench_serving_throughput.py`` measures the resulting speedup.
 
 Observability: when the engine carries a metrics registry (or one is
 passed explicitly) the batcher reports queue-wait and batch-size
 histograms plus live queue-depth / in-flight gauges — the numbers that
-tell an operator whether latency is spent *waiting to batch* or
-*scoring*.  :meth:`flush` drains all in-flight rows, the hook a future
-artifact hot-swap needs before switching engines.
+tell an operator whether latency is spent *waiting for the engine* or
+*scoring*.  :meth:`flush` drains all in-flight rows, the hook an artifact
+hot-swap uses before closing the old batcher.
 """
 
 from __future__ import annotations
@@ -53,10 +56,8 @@ class MicroBatcher:
     engine:
         The :class:`~repro.serving.InferenceEngine` that scores batches.
     max_batch_size:
-        Flush as soon as this many rows are queued.
-    max_delay_ms:
-        Flush a partial batch after the *first* queued row has waited this
-        long — bounds the latency cost a row pays for batching.
+        Most rows one engine call scores; a larger backlog is split
+        across consecutive batches.
     registry:
         Metrics registry to report into; defaults to the engine's own
         (pass ``None`` on an observability-disabled engine for the legacy
@@ -67,16 +68,12 @@ class MicroBatcher:
         self,
         engine: InferenceEngine,
         max_batch_size: int = 32,
-        max_delay_ms: float = 2.0,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
         self.engine = engine
         self.max_batch_size = max_batch_size
-        self.max_delay = max_delay_ms / 1000.0
         self.registry = registry if registry is not None else engine.registry
         if self.registry is not None:
             self.stats = CounterBank(
@@ -201,13 +198,9 @@ class MicroBatcher:
             if first is None:
                 return
             batch = [first]
-            deadline = time.monotonic() + self.max_delay
             while len(batch) < self.max_batch_size:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    break
                 try:
-                    item = self._queue.get(timeout=timeout)
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is None:

@@ -41,9 +41,14 @@ path, status, latency_ms, rows) on the ``repro.serving.access`` logger —
 enabled by ``access_log=True`` / the CLI's ``--log-level info``, and off
 by default so embedded/test servers stay quiet.
 
-Built on :class:`http.server.ThreadingHTTPServer` so each in-flight request
-occupies one handler thread — exactly the producer model the
-micro-batcher coalesces across.  ``--workers N`` on the CLI switches to
+Built on :class:`http.server.ThreadingHTTPServer` speaking HTTP/1.1
+keep-alive: each client connection occupies one handler thread for as
+long as it stays open (a silent one is released after
+``_IDLE_TIMEOUT_S``), and each in-flight request is one producer for the
+micro-batcher to coalesce across.  A response sent while request-body
+bytes are still unread (unknown route, bad ``Content-Length``, oversized
+body) closes the connection, so leftover bytes are never parsed as the
+next request.  ``--workers N`` on the CLI switches to
 the multi-process scale-out deployment (:mod:`repro.serving.scaleout`):
 an async front door dispatching to N worker processes that share one
 memory-mapped copy of the artifact's pool state; ``--workers 0`` (the
@@ -97,6 +102,10 @@ class _ReloadInProgress(RuntimeError):
 #: to have its 413 delivered cleanly, bounded so a hostile stream cannot
 #: occupy the handler thread indefinitely.
 _DRAIN_LIMIT = 1 << 25  # 32 MiB
+
+#: Seconds a keep-alive connection may stay silent (or a request stall
+#: mid-read) before its handler thread closes it.
+_IDLE_TIMEOUT_S = 15.0
 
 
 def _parse_row(row: Dict[str, object]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -229,7 +238,6 @@ class PredictionServer:
         host: str = "127.0.0.1",
         port: int = 8000,
         max_batch_size: int = 32,
-        max_delay_ms: float = 2.0,
         cache_size: int = 256,
         max_body_bytes: int = 1 << 20,
         access_log: bool = False,
@@ -251,9 +259,7 @@ class PredictionServer:
         self._engine_options = dict(
             cache_size=cache_size, index=index, nprobe=nprobe
         )
-        self._batcher_options = dict(
-            max_batch_size=max_batch_size, max_delay_ms=max_delay_ms
-        )
+        self._batcher_options = dict(max_batch_size=max_batch_size)
         self.engine: Optional[InferenceEngine] = None
         self.batcher: Optional[MicroBatcher] = None
         self._service: Optional[_Service] = None
@@ -284,49 +290,77 @@ class PredictionServer:
         server = self  # captured by the handler class below
 
         class Handler(BaseHTTPRequestHandler):
+            # Keep-alive: a client pays one TCP connect, and the server one
+            # handler thread, per connection rather than per request.
+            protocol_version = "HTTP/1.1"
+            # Headers and body go out in two writes; with Nagle on, the
+            # second waits for the client's delayed ACK (~40 ms).
+            disable_nagle_algorithm = True
+            timeout = _IDLE_TIMEOUT_S
+
             def log_message(self, fmt, *args):
                 # BaseHTTPRequestHandler's stderr chatter is replaced by the
                 # structured JSON access log emitted in _finish().
                 pass
 
-            def _send_json(
-                self, status: int, payload: Dict[str, object]
-            ) -> None:
-                body = json.dumps(payload).encode()
-                self._status = status
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+            def _begin(self) -> float:
+                # The handler outlives a request on a keep-alive connection,
+                # so per-request state is reset here.  ``_unread`` counts
+                # request-body bytes not yet consumed (-1: no valid length).
+                self._status = 0
+                self._rows = 0
+                try:
+                    length = int(self.headers.get("Content-Length", 0))
+                except ValueError:
+                    length = -1
+                self._unread = max(length, -1)
+                if "Transfer-Encoding" in self.headers:
+                    # A body this server does not decode cannot be framed.
+                    self.close_connection = True
+                return time.perf_counter()
 
-            def _send_text(self, status: int, body: str, content_type: str) -> None:
-                data = body.encode()
+            def _read_body(self, limit: int) -> bytes:
+                data = self.rfile.read(min(self._unread, limit))
+                self._unread -= len(data)
+                return data
+
+            def _send(self, status: int, body: bytes, content_type: str) -> None:
+                if self._unread or server._draining:
+                    # Unread body bytes would be parsed as the next request;
+                    # a draining server sends its clients elsewhere.
+                    self.close_connection = True
                 self._status = status
                 self.send_response(status)
                 self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(data)))
+                self.send_header("Content-Length", str(len(body)))
+                if self.close_connection:
+                    self.send_header("Connection", "close")
                 self.end_headers()
-                self.wfile.write(data)
+                self.wfile.write(body)
+
+            def _send_json(
+                self, status: int, payload: Dict[str, object]
+            ) -> None:
+                self._send(status, json.dumps(payload).encode(), "application/json")
 
             def _finish(self, method: str, started: float) -> None:
                 server._record_request(
                     method,
                     self.path,
-                    getattr(self, "_status", 0),
+                    self._status,
                     time.perf_counter() - started,
-                    getattr(self, "_rows", 0),
+                    self._rows,
                 )
 
             def do_GET(self) -> None:
-                started = time.perf_counter()
+                started = self._begin()
                 try:
                     if self.path in ("/healthz", "/health"):
                         self._send_json(200, server.health())
                     elif self.path == "/metrics":
-                        self._send_text(
+                        self._send(
                             200,
-                            server.metrics_text(),
+                            server.metrics_text().encode(),
                             "text/plain; version=0.0.4; charset=utf-8",
                         )
                     else:
@@ -337,7 +371,7 @@ class PredictionServer:
                     self._finish("GET", started)
 
             def do_POST(self) -> None:
-                started = time.perf_counter()
+                started = self._begin()
                 try:
                     self._do_post()
                 finally:
@@ -351,9 +385,8 @@ class PredictionServer:
                     self._send_json(404, {"error": f"unknown path {self.path}"})
                     return
                 try:
-                    try:
-                        length = int(self.headers.get("Content-Length", 0))
-                    except (TypeError, ValueError):
+                    length = self._unread
+                    if length < 0:
                         self._send_json(
                             400, {"error": "invalid Content-Length header"}
                         )
@@ -361,12 +394,12 @@ class PredictionServer:
                     if length > server.max_body_bytes:
                         # Refuse before buffering: an oversized body must
                         # never be held in memory.  The connection is closed
-                        # so the remainder cannot be misparsed as a follow-up
-                        # request, but the body is first drained (in fixed
-                        # chunks, up to a bound) — closing with unread data
-                        # pending would RST the socket and destroy the 413
-                        # response before the client could read it.
-                        self.close_connection = True
+                        # (the body stays unread, see _send) so the remainder
+                        # cannot be misparsed as a follow-up request, but the
+                        # body is first drained (in fixed chunks, up to a
+                        # bound) — closing with unread data pending would RST
+                        # the socket and destroy the 413 response before the
+                        # client could read it.
                         self._send_json(413, {
                             "error": (
                                 f"request body of {length} bytes exceeds the "
@@ -381,7 +414,7 @@ class PredictionServer:
                             remaining -= len(chunk)
                         return
                     try:
-                        payload = json.loads(self.rfile.read(length) or b"{}")
+                        payload = json.loads(self._read_body(length) or b"{}")
                     except json.JSONDecodeError as exc:
                         raise _BadRequest(f"invalid JSON body: {exc}") from exc
                     response = server.predict(payload)
@@ -400,17 +433,13 @@ class PredictionServer:
 
             def _do_reload(self) -> None:
                 try:
-                    try:
-                        length = int(self.headers.get("Content-Length", 0))
-                    except (TypeError, ValueError):
+                    if self._unread < 0:
                         self._send_json(
                             400, {"error": "invalid Content-Length header"}
                         )
                         return
                     try:
-                        payload = json.loads(
-                            self.rfile.read(min(length, 1 << 20)) or b"{}"
-                        )
+                        payload = json.loads(self._read_body(1 << 20) or b"{}")
                     except json.JSONDecodeError as exc:
                         raise _BadRequest(f"invalid JSON body: {exc}") from exc
                     if not isinstance(payload, dict):
@@ -723,7 +752,6 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8000)
     parser.add_argument("--max-batch-size", type=int, default=32)
-    parser.add_argument("--max-delay-ms", type=float, default=2.0)
     parser.add_argument("--cache-size", type=int, default=256)
     parser.add_argument("--max-body-bytes", type=int, default=1 << 20,
                         help="reject request bodies larger than this (HTTP 413)")
@@ -803,7 +831,6 @@ def main(argv=None) -> int:
             host=args.host,
             port=args.port,
             max_batch_size=args.max_batch_size,
-            max_delay_ms=args.max_delay_ms,
             cache_size=args.cache_size,
             max_body_bytes=args.max_body_bytes,
             access_log=access_log,

@@ -277,6 +277,23 @@ class TestPreprocessing:
         assert codes.dtype == np.int64
         np.testing.assert_array_equal(codes, [[3, -1]])
 
+    def test_normalize_rows_rejects_infinite_numericals(self):
+        dataset = make_fraud(n=40, seed=0)
+        prep = TabularPreprocessor(mode="onehot").fit(dataset)
+        for bad in (np.inf, -np.inf):
+            row = dataset.numerical[0].copy()
+            row[0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                prep.normalize_rows(row, dataset.categorical[0])
+            with pytest.raises(ValueError, match="finite"):
+                prep.transform(row, dataset.categorical[0])
+        # NaN stays the "missing" value and scales to 0.
+        row = dataset.numerical[0].copy()
+        row[0] = np.nan
+        num, _ = prep.normalize_rows(row, dataset.categorical[0])
+        assert np.isnan(num[0, 0])
+        assert prep.transform(row, dataset.categorical[0])[0, 0] == 0.0
+
 
 class TestSplits:
     def test_partition_covers_everything(self):

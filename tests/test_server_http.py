@@ -11,6 +11,8 @@ also pins the ``/healthz`` contract for the newly-servable formulation.
 import http.client
 import json
 import logging
+import socket
+import statistics
 import threading
 import time
 
@@ -20,6 +22,7 @@ import pytest
 from repro.datasets import make_fraud
 from repro.formulations import HypergraphFormulation
 from repro.serving import ModelArtifact, PredictionServer
+from repro.serving import server as server_module
 from repro.serving.artifact import ARTIFACT_SCHEMA_VERSION
 
 
@@ -104,6 +107,51 @@ def _good_row(dataset):
     }
 
 
+def _http11(method, path, body=b"", content_length=None):
+    """Raw HTTP/1.1 request bytes (keep-alive by default)."""
+    if content_length is None:
+        content_length = len(body)
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+def _read_response(reader):
+    """``(status, headers, body)`` of the next response, or ``None`` once
+    the server has closed the connection."""
+    status_line = reader.readline()
+    if not status_line:
+        return None
+    headers = {}
+    while True:
+        line = reader.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip().lower()
+    body = reader.read(int(headers.get("content-length", 0)))
+    return int(status_line.split()[1]), headers, body
+
+
+def _read_responses(sock, limit):
+    """Up to ``limit`` responses, stopping early when the connection ends
+    (a reset after the server closed with input unread counts as ended)."""
+    reader = sock.makefile("rb")
+    responses = []
+    try:
+        while len(responses) < limit:
+            response = _read_response(reader)
+            if response is None:
+                break
+            responses.append(response)
+    except ConnectionResetError:
+        pass
+    return responses
+
+
 class TestErrorPaths:
     def test_malformed_json_returns_400(self, server):
         status, payload = _request(server, "POST", "/predict", body="{not json")
@@ -139,6 +187,22 @@ class TestErrorPaths:
                 )
                 assert status == 400, (bad, body)
                 assert "categorical" in payload["error"]
+
+    def test_infinite_numerical_returns_400(self, server, dataset):
+        # ±inf is rejected, never clamped; NaN stays the "missing" value.
+        for bad in (float("inf"), float("-inf")):
+            row = _good_row(dataset)
+            row["numerical"][0] = bad
+            for body in (row, {"rows": [_good_row(dataset), row]}):
+                status, payload = _request(
+                    server, "POST", "/predict", body=json.dumps(body)
+                )
+                assert status == 400, (bad, body)
+                assert "finite" in payload["error"]
+        row = _good_row(dataset)
+        row["numerical"][0] = float("nan")
+        status, _ = _request(server, "POST", "/predict", body=json.dumps(row))
+        assert status == 200
 
     def test_missing_numerical_key_returns_400(self, server):
         status, payload = _request(
@@ -181,6 +245,83 @@ class TestErrorPaths:
         assert status == 200
         assert payload["rows"] == 1
         assert abs(sum(payload["probabilities"][0]) - 1.0) < 1e-6
+
+
+class TestKeepAlive:
+    def test_unread_body_closes_instead_of_misparsing_the_next_request(
+        self, server, dataset
+    ):
+        predict = json.dumps(_good_row(dataset)).encode()
+        status, expected = _request(server, "POST", "/predict", body=predict)
+        assert status == 200
+        cases = (
+            # unknown POST route: the body is never read
+            (_http11("POST", "/nope", b'{"x": 1}'), 404),
+            # unparseable Content-Length: the body cannot be framed
+            (_http11("POST", "/predict", b'{"x": 1}', content_length="eight"), 400),
+            # reload reads at most 1 MiB of its body
+            (_http11("POST", "/admin/reload",
+                     b'{"pad": "' + b"x" * (1 << 20) + b'"}'), 400),
+            # a chunked body, which this server does not decode
+            (b"POST /predict HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+             b"Transfer-Encoding: chunked\r\n\r\n8\r\n{\"x\": 1}\r\n0\r\n\r\n", 400),
+        )
+        for first, first_status in cases:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as sock:
+                sock.sendall(first + _http11("POST", "/predict", predict))
+                responses = _read_responses(sock, limit=2)
+            assert responses[0][0] == first_status
+            assert responses[0][1].get("connection") == "close"
+            # The pipelined /predict is answered correctly or not at all —
+            # never a 400 for leftover body bytes parsed as a request.
+            for status, _, body in responses[1:]:
+                assert status == 200
+                assert json.loads(body) == expected
+
+    def test_sequential_predicts_share_one_fast_connection(self, server, dataset):
+        request = _http11("POST", "/predict", json.dumps(_good_row(dataset)).encode())
+        latencies = []
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            for _ in range(10):
+                started = time.perf_counter()
+                sock.sendall(request)
+                status, headers, _ = _read_response(reader)
+                latencies.append(time.perf_counter() - started)
+                assert status == 200
+                assert headers.get("connection") != "close"
+        # All ten rode one connect.  A Nagle / delayed-ACK stall between
+        # the header and body writes costs >= 40 ms per reply.
+        assert statistics.median(latencies) < 0.020
+
+    def test_draining_server_closes_keep_alive_connections(
+        self, artifact, dataset
+    ):
+        request = _http11("POST", "/predict", json.dumps(_good_row(dataset)).encode())
+        with PredictionServer(artifact, port=0) as srv:
+            srv._draining = True
+            try:
+                with socket.create_connection(
+                    (srv.host, srv.port), timeout=10
+                ) as sock:
+                    sock.sendall(request)
+                    responses = _read_responses(sock, limit=2)
+            finally:
+                srv._draining = False
+        assert [status for status, _, _ in responses] == [503]
+        assert responses[0][1]["connection"] == "close"
+
+    def test_silent_keep_alive_connection_is_released(
+        self, artifact, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "_IDLE_TIMEOUT_S", 0.2)
+        with PredictionServer(artifact, port=0) as srv:
+            with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
+                started = time.perf_counter()
+                assert sock.recv(1) == b""  # closed by the server
+                assert time.perf_counter() - started < 5.0
 
 
 class TestHealthz:
@@ -413,8 +554,9 @@ class TestUnavailableStates:
             release.set()
             srv.shutdown()
 
-    def test_shutdown_flushes_in_flight_requests(self, artifact, dataset):
-        srv = PredictionServer(artifact, port=0, max_delay_ms=50.0)
+    def test_shutdown_flushes_in_flight_requests(self, artifact, dataset, gate):
+        srv = PredictionServer(artifact, port=0)
+        held = gate(srv.engine)
         srv.start()
         results = []
         lock = threading.Lock()
@@ -432,8 +574,16 @@ class TestUnavailableStates:
         threads = [threading.Thread(target=one_predict) for _ in range(8)]
         for thread in threads:
             thread.start()
-        time.sleep(0.02)  # let requests reach the batcher's delay window
-        srv.shutdown()
+        # The gated engine holds the first batch, so requests are in flight
+        # when the drain begins.
+        assert held.entered.wait(timeout=10)
+        stopper = threading.Thread(target=srv.shutdown)
+        stopper.start()
+        deadline = time.monotonic() + 10
+        while not srv._draining and time.monotonic() < deadline:
+            time.sleep(0.001)
+        held.release()
+        stopper.join(timeout=15)
         for thread in threads:
             thread.join(timeout=15)
         assert not any(thread.is_alive() for thread in threads)

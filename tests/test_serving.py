@@ -12,6 +12,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -297,21 +298,28 @@ class TestEvalMode:
 # ----------------------------------------------------------------------
 class TestMicroBatcher:
     def test_concurrent_submissions_coalesce_and_match_batch_path(
-        self, feature_result
+        self, feature_result, gate
     ):
         dataset, result = feature_result
         engine = InferenceEngine(result.export_artifact(), cache_size=0)
         expected = engine.predict_batch(dataset.numerical[:8], dataset.categorical[:8])
-        with MicroBatcher(engine, max_batch_size=8, max_delay_ms=60.0) as batcher:
+        held = gate(engine)
+        with MicroBatcher(engine, max_batch_size=8) as batcher:
             with ThreadPoolExecutor(8) as pool:
-                got = list(
-                    pool.map(
-                        lambda i: batcher.submit(
-                            dataset.numerical[i], dataset.categorical[i]
-                        ),
-                        range(8),
+                futures = [
+                    pool.submit(
+                        batcher.submit, dataset.numerical[i], dataset.categorical[i]
                     )
-                )
+                    for i in range(8)
+                ]
+                # The gated engine holds the first batch; the other rows
+                # queue behind it and coalesce once it opens.
+                assert held.entered.wait(timeout=5.0)
+                deadline = time.time() + 5.0
+                while batcher._pending < 8 and time.time() < deadline:
+                    time.sleep(0.001)
+                held.release()
+                got = [f.result(timeout=30.0) for f in futures]
             assert batcher.stats["rows"] == 8
             assert batcher.stats["largest_batch"] >= 2, "no coalescing happened"
         np.testing.assert_allclose(np.stack(got), expected, atol=1e-12)
@@ -319,14 +327,14 @@ class TestMicroBatcher:
     def test_flush_on_max_batch_size(self, feature_result):
         dataset, result = feature_result
         engine = InferenceEngine(result.export_artifact(), cache_size=0)
-        with MicroBatcher(engine, max_batch_size=1, max_delay_ms=1000.0) as batcher:
+        with MicroBatcher(engine, max_batch_size=1) as batcher:
             batcher.submit(dataset.numerical[0], dataset.categorical[0])
             assert batcher.stats == {"batches": 1, "rows": 1, "largest_batch": 1}
 
     def test_errors_propagate_to_caller(self, feature_result):
         _, result = feature_result
         engine = InferenceEngine(result.export_artifact(), cache_size=0)
-        with MicroBatcher(engine, max_delay_ms=0.0) as batcher:
+        with MicroBatcher(engine) as batcher:
             with pytest.raises(ValueError):
                 batcher.submit(np.zeros(3))  # wrong row width
 
@@ -346,7 +354,7 @@ class TestPredictionServer:
     def test_boot_post_one_row_well_formed_json(self, instance_result):
         dataset, result = instance_result
         artifact = result.export_artifact()
-        with PredictionServer(artifact, port=0, max_delay_ms=1.0) as server:
+        with PredictionServer(artifact, port=0) as server:
             body = json.dumps({"numerical": dataset.numerical[0].tolist()}).encode()
             request = urllib.request.Request(server.url + "/predict", data=body)
             with urllib.request.urlopen(request, timeout=10) as response:

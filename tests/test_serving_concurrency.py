@@ -73,7 +73,7 @@ class TestMicroBatcherHammering:
         picks = np.random.default_rng(7).integers(
             0, rows.shape[0], (n_threads, per_thread)
         )
-        with MicroBatcher(engine, max_batch_size=32, max_delay_ms=2.0) as batcher:
+        with MicroBatcher(engine, max_batch_size=32) as batcher:
             def worker(thread_idx):
                 out = []
                 for row_idx in picks[thread_idx]:
@@ -98,19 +98,20 @@ class TestMicroBatcherHammering:
 
     def test_error_rows_fail_their_caller_only(self, artifact, rows):
         engine = InferenceEngine(artifact, cache_size=0)
-        with MicroBatcher(engine, max_batch_size=8, max_delay_ms=2.0) as batcher:
+        with MicroBatcher(engine, max_batch_size=8) as batcher:
             with pytest.raises(ValueError, match="numerical columns"):
                 batcher.submit(np.zeros(rows.shape[1] + 3))
             # The batcher (and its consumer thread) survive the bad row.
             good = batcher.submit(rows[0])
             assert np.isfinite(good).all()
 
-    def test_flush_drains_all_in_flight_rows(self, artifact, rows):
+    def test_flush_drains_all_in_flight_rows(self, artifact, rows, gate):
         engine = InferenceEngine(artifact, cache_size=0)
+        held = gate(engine)
         results = [None] * 48
-        # Batch window larger than the submit burst: all 48 rows are
-        # queued (in flight, unanswered) when flush() is called.
-        with MicroBatcher(engine, max_batch_size=64, max_delay_ms=250.0) as batcher:
+        # The gated engine holds the first batch, so all 48 rows are in
+        # flight (submitted, unanswered) until the gate opens.
+        with MicroBatcher(engine, max_batch_size=64) as batcher:
             def worker(i):
                 results[i] = batcher.submit(rows[i % rows.shape[0]])
 
@@ -123,6 +124,7 @@ class TestMicroBatcherHammering:
             while batcher._pending < 48 and time.time() < deadline:
                 time.sleep(0.001)
             assert batcher._pending == 48
+            held.release()
             # flush() blocks until every submitted row has been answered.
             assert batcher.flush(timeout=30.0)
             assert batcher._pending == 0
@@ -140,11 +142,14 @@ class TestMicroBatcherHammering:
         # flush() on an idle (even closed) batcher returns immediately.
         assert batcher.flush(timeout=0.1)
 
-    def test_in_flight_gauge_counts_submitted_unanswered_rows(self, artifact, rows):
+    def test_in_flight_gauge_counts_submitted_unanswered_rows(
+        self, artifact, rows, gate
+    ):
         engine = InferenceEngine(artifact, cache_size=0)
-        # A huge delay + batch size keeps rows queued until the window
-        # closes, long enough to observe them in flight.
-        with MicroBatcher(engine, max_batch_size=64, max_delay_ms=200.0) as batcher:
+        held = gate(engine)
+        # The gated engine holds the first row and the rest queue behind
+        # it, long enough to observe them in flight.
+        with MicroBatcher(engine, max_batch_size=64) as batcher:
             registry = engine.registry
             in_flight = registry.get("repro_batcher_in_flight")
             with ThreadPoolExecutor(4) as pool:
@@ -155,15 +160,39 @@ class TestMicroBatcherHammering:
                 while in_flight.value < 4 and time.time() < deadline:
                     time.sleep(0.001)
                 assert in_flight.value == 4
+                held.release()
                 assert batcher.flush(timeout=30.0)
                 assert in_flight.value == 0
                 for f in futures:
                     assert np.isfinite(f.result()).all()
-            # Queue-wait histogram saw every row, dominated by the delay
-            # window the first row waited out.
+            # Queue-wait histogram saw every row.
             wait = registry.get("repro_batcher_queue_wait_seconds")
             assert wait.count == 4
             assert registry.get("repro_batcher_batch_size").count >= 1
+
+    def test_rows_queued_behind_a_busy_engine_flush_as_one_batch(
+        self, artifact, rows, reference, gate
+    ):
+        engine = InferenceEngine(artifact, cache_size=0)
+        held = gate(engine)
+        n = 6
+        with MicroBatcher(engine, max_batch_size=32) as batcher:
+            with ThreadPoolExecutor(n + 1) as pool:
+                first = pool.submit(batcher.submit, rows[0])
+                # The lone first row flushes at once, with no timer.
+                assert held.entered.wait(timeout=5.0)
+                rest = [
+                    pool.submit(batcher.submit, rows[i]) for i in range(1, n + 1)
+                ]
+                deadline = time.time() + 5.0
+                while batcher._qsize() < n and time.time() < deadline:
+                    time.sleep(0.001)
+                assert batcher._qsize() == n
+                held.release()
+                got = [f.result(timeout=30.0) for f in (first, *rest)]
+        # Everything that queued while the engine was busy is one batch.
+        assert held.batch_sizes == [1, n]
+        np.testing.assert_allclose(np.stack(got), reference[: n + 1], atol=1e-12)
 
 
 class TestEngineCacheHammering:

@@ -20,7 +20,7 @@ import pytest
 from repro.datasets import make_correlated_instances
 from repro.obs import MetricsRegistry, merge_snapshots, render_snapshot_prometheus
 from repro.pipeline import run_pipeline
-from repro.serving import InferenceEngine, ModelArtifact, PredictionServer
+from repro.serving import InferenceEngine, ModelArtifact
 from repro.serving.npz_mmap import load_npz_mmap
 from repro.serving.scaleout import ScaleOutServer
 from repro.serving.scaleout.protocol import (
@@ -284,6 +284,12 @@ class TestScaleOutE2E:
         )
         assert status == 400
         assert "categorical" in json.loads(body)["error"]
+        status, body = _http(
+            scaleout, "POST", "/predict",
+            json.dumps({"numerical": [float("inf")] + [0.1] * 15}).encode(),
+        )
+        assert status == 400
+        assert "finite" in json.loads(body)["error"]
         status, body = _http(scaleout, "GET", "/nope")
         assert status == 404
 
